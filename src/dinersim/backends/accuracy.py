@@ -8,11 +8,11 @@ up as a separate row in the report.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from ..config_io import load_data, save_data
 from ..model import PunishmentMode, Strategy, STRATEGY_DESCRIPTIONS, STRATEGY_ORDER
 from .base import (
     BackendError,
@@ -20,6 +20,7 @@ from .base import (
     DecisionContext,
     DecisionKind,
     RosterEntry,
+    TransportError,
 )
 from .oracle import oracle_decide
 
@@ -38,8 +39,8 @@ _TARGET_NAME = "Farid Khan"
 class Scenario:
     scenario_id: str
     lifestyle_tag: str
-    ctx: DecisionContext
     expected_choice: str
+    ctx: DecisionContext
 
 
 @dataclass
@@ -64,6 +65,9 @@ class AccuracyReport:
     by_strategy: dict[str, CellStats] = field(default_factory=dict)
     by_lifestyle: dict[str, CellStats] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
+    # Scenarios whose backend call failed with a TransportError; not part of
+    # to_dict, so the written report keeps its schema.
+    transport_failures: int = 0
 
     @property
     def accuracy(self) -> float:
@@ -179,6 +183,7 @@ def evaluate_accuracy(backend: DecisionBackend, suite: Sequence[Scenario]) -> Ac
             got = None
             matched = False
             report.failures.append(f"{scenario.scenario_id}: {exc}")
+            report.transport_failures += isinstance(exc, TransportError)
         report.total += 1
         report.matched += int(matched)
         for table, key in (
@@ -197,70 +202,8 @@ def evaluate_accuracy(backend: DecisionBackend, suite: Sequence[Scenario]) -> Ac
 
 
 def save_suite(suite: Sequence[Scenario], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps([_scenario_to_dict(s) for s in suite], indent=2) + "\n",
-        encoding="utf-8",
-    )
+    save_data(suite, path)
 
 
 def load_suite(path: str | Path) -> list[Scenario]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [_scenario_from_dict(item) for item in data]
-
-
-def _scenario_to_dict(scenario: Scenario) -> dict:
-    ctx = scenario.ctx
-    return {
-        "scenario_id": scenario.scenario_id,
-        "lifestyle_tag": scenario.lifestyle_tag,
-        "expected_choice": scenario.expected_choice,
-        "ctx": {
-            "kind": ctx.kind.value,
-            "iteration": ctx.iteration,
-            "location": ctx.location,
-            "actor_name": ctx.actor_name,
-            "actor_strategy": ctx.actor_strategy.value,
-            "actor_strategy_description": ctx.actor_strategy_description,
-            "actor_lifestyle": ctx.actor_lifestyle,
-            "actor_r1_punished": ctx.actor_r1_punished,
-            "roster": [
-                {"name": r.name, "visible_action": r.visible_action} for r in ctx.roster
-            ],
-            "punishment_mode": ctx.punishment_mode.value,
-            "punishment_p": ctx.punishment_p,
-            "punishment_k": ctx.punishment_k,
-            "menu_description": ctx.menu_description,
-            "target_name": ctx.target_name,
-            "evidence": ctx.evidence,
-        },
-    }
-
-
-def _scenario_from_dict(item: dict) -> Scenario:
-    ctx_data = item["ctx"]
-    ctx = DecisionContext(
-        kind=DecisionKind(ctx_data["kind"]),
-        iteration=ctx_data["iteration"],
-        location=ctx_data["location"],
-        actor_name=ctx_data["actor_name"],
-        actor_strategy=Strategy(ctx_data["actor_strategy"]),
-        actor_strategy_description=ctx_data["actor_strategy_description"],
-        actor_lifestyle=ctx_data["actor_lifestyle"],
-        actor_r1_punished=ctx_data["actor_r1_punished"],
-        roster=tuple(
-            RosterEntry(name=r["name"], visible_action=r.get("visible_action"))
-            for r in ctx_data["roster"]
-        ),
-        punishment_mode=PunishmentMode(ctx_data["punishment_mode"]),
-        punishment_p=ctx_data["punishment_p"],
-        punishment_k=ctx_data["punishment_k"],
-        menu_description=ctx_data.get("menu_description"),
-        target_name=ctx_data.get("target_name"),
-        evidence=ctx_data.get("evidence"),
-    )
-    return Scenario(
-        scenario_id=item["scenario_id"],
-        lifestyle_tag=item["lifestyle_tag"],
-        ctx=ctx,
-        expected_choice=item["expected_choice"],
-    )
+    return list(load_data(tuple[Scenario, ...], path, "suite"))

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .backends import RuleOracle, LlmBackend, BackendError, TransportError
+from .backends import RuleOracle, LlmBackend, BackendError
 from .backends.accuracy import build_scenario_suite, evaluate_accuracy, load_suite, save_suite
 from .config_io import load_config, save_config
 from .model import (
@@ -227,9 +227,8 @@ def cmd_eval_backend(args: argparse.Namespace) -> int:
     ):
         for key, cell in table.items():
             print(f"  {label:>9} {key:<24} {cell.matched}/{cell.total} ({cell.accuracy:.1%})")
-    transport_failures = sum("TransportError" in f or "unreachable" in f for f in report.failures)
-    if report.total and transport_failures == report.total:
-        print("error: endpoint unreachable for every scenario", file=sys.stderr)
+    if report.total and report.transport_failures == report.total:
+        print("error: transport failed for every scenario", file=sys.stderr)
         return EXIT_BACKEND
     return EXIT_OK
 
@@ -258,9 +257,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -1,295 +1,135 @@
-"""Strict JSON serialization for :class:`SimulationConfig`.
+"""Strict JSON codec for frozen dataclasses such as :class:`SimulationConfig`.
 
-The on-disk format mirrors the config dataclass field names exactly. Unknown
-keys are a hard error at every nesting level so typos never silently fall
-back to defaults.
+A document mirrors the dataclass field names and order exactly, so each
+format is defined once, by its dataclass. The writer leaves out fields whose
+value is None. The reader rejects unknown keys at every nesting level, so
+typos never silently fall back to defaults; a key may be missing only when
+its field has a default.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import types
+import typing
+from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
 
-from .model import (
-    AgentSeed,
-    BackendConfig,
-    ConfigError,
-    GroupSpec,
-    ImitationParams,
-    MenuConfig,
-    PunishmentMode,
-    PunishmentParams,
-    SimulationConfig,
-    Strategy,
-    UtilityBasis,
-)
+from .model import ConfigError, SimulationConfig
+
+_PLAIN = (str, int, float, bool)
 
 
 class ConfigFormatError(ConfigError):
-    """The config document is malformed (unknown keys, wrong types, bad enums)."""
+    """The document is malformed (unknown keys, wrong types, bad enums)."""
 
 
-def config_to_dict(config: SimulationConfig) -> dict[str, Any]:
-    """Plain-dict view of a config, suitable for json.dump round trips."""
-    punishment: dict[str, Any] = {"mode": config.punishment.mode.value}
-    if config.punishment.mode is PunishmentMode.EXPLICIT:
-        punishment["p"] = config.punishment.p
-        punishment["k"] = config.punishment.k
-    backend: dict[str, Any] = {
-        "kind": config.backend.kind,
-        "temperature": config.backend.temperature,
-        "top_p": config.backend.top_p,
-        "timeout": config.backend.timeout,
-        "transport_retries": config.backend.transport_retries,
-        "repair_retries": config.backend.repair_retries,
-        "backoff_base": config.backend.backoff_base,
-        "max_concurrency": config.backend.max_concurrency,
-        "error_policy": config.backend.error_policy,
-    }
-    if config.backend.template_dir is not None:
-        backend["template_dir"] = config.backend.template_dir
-    return {
-        "agents": [
-            {
-                "agent_id": a.agent_id,
-                "name": a.name,
-                "strategy": a.strategy.value,
-                "lifestyle": a.lifestyle,
-            }
-            for a in config.agents
-        ],
-        "groups": [
-            {"group_id": g.group_id, "members": list(g.members)} for g in config.groups
-        ],
-        "locations": list(config.locations),
-        "iterations": config.iterations,
-        "menu": {
-            "budget_cost": config.menu.budget_cost,
-            "budget_value": config.menu.budget_value,
-            "premium_cost": config.menu.premium_cost,
-            "premium_value": config.menu.premium_value,
-        },
-        "punishment": punishment,
-        "imitation": {
-            "beta": config.imitation.beta,
-            "utility_basis": config.imitation.utility_basis.value,
-        },
-        "backend": backend,
-        "seed": config.seed,
-    }
-
-
-def config_from_dict(data: Mapping[str, Any]) -> SimulationConfig:
-    """Parse a config document, rejecting unknown keys everywhere."""
-    top = _require_keys(
-        data,
-        required=(
-            "agents",
-            "groups",
-            "locations",
-            "iterations",
-            "menu",
-            "punishment",
-            "imitation",
-            "backend",
-            "seed",
-        ),
-        where="config",
-    )
-
-    agents = tuple(
-        AgentSeed(
-            agent_id=_text(item, "agent_id", f"agents[{i}]"),
-            name=_text(item, "name", f"agents[{i}]"),
-            strategy=_strategy(item, f"agents[{i}]"),
-            lifestyle=str(item.get("lifestyle", "")),
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, resolved type hint, has a default) per field, in field order."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            hints[f.name],
+            f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING,
         )
-        for i, item in enumerate(
-            _each_mapping(
-                top["agents"],
-                "agents",
-                required=("agent_id", "name", "strategy"),
-                optional=("lifestyle",),
-            )
-        )
-    )
-    groups = tuple(
-        GroupSpec(
-            group_id=_text(item, "group_id", f"groups[{i}]"),
-            members=tuple(str(m) for m in item["members"]),
-        )
-        for i, item in enumerate(
-            _each_mapping(top["groups"], "groups", required=("group_id", "members"))
-        )
-    )
-
-    menu_data = _require_keys(
-        top["menu"],
-        required=("budget_cost", "budget_value", "premium_cost", "premium_value"),
-        where="menu",
-    )
-    menu = MenuConfig(
-        budget_cost=_number(menu_data, "budget_cost", "menu"),
-        budget_value=_number(menu_data, "budget_value", "menu"),
-        premium_cost=_number(menu_data, "premium_cost", "menu"),
-        premium_value=_number(menu_data, "premium_value", "menu"),
-    )
-
-    pun_data = _require_keys(
-        top["punishment"], required=("mode",), optional=("p", "k"), where="punishment"
-    )
-    try:
-        mode = PunishmentMode(pun_data["mode"])
-    except ValueError as exc:
-        raise ConfigFormatError(f"punishment.mode must be one of "
-                                f"{[m.value for m in PunishmentMode]}, got {pun_data['mode']!r}") from exc
-    punishment = PunishmentParams(
-        mode=mode,
-        p=_number(pun_data, "p", "punishment") if "p" in pun_data else None,
-        k=_number(pun_data, "k", "punishment") if "k" in pun_data else None,
-    )
-
-    imit_data = _require_keys(
-        top["imitation"], required=(), optional=("beta", "utility_basis"), where="imitation"
-    )
-    try:
-        basis = UtilityBasis(imit_data.get("utility_basis", UtilityBasis.PER_ITERATION.value))
-    except ValueError as exc:
-        raise ConfigFormatError(
-            f"imitation.utility_basis must be one of {[b.value for b in UtilityBasis]}"
-        ) from exc
-    imitation = ImitationParams(
-        beta=_number(imit_data, "beta", "imitation") if "beta" in imit_data else 1.0,
-        utility_basis=basis,
-    )
-
-    backend_data = _require_keys(
-        top["backend"],
-        required=("kind",),
-        optional=(
-            "temperature",
-            "top_p",
-            "timeout",
-            "transport_retries",
-            "repair_retries",
-            "backoff_base",
-            "max_concurrency",
-            "error_policy",
-            "template_dir",
-        ),
-        where="backend",
-    )
-    defaults = BackendConfig()
-    backend = BackendConfig(
-        kind=str(backend_data["kind"]),
-        temperature=_number(backend_data, "temperature", "backend")
-        if "temperature" in backend_data
-        else defaults.temperature,
-        top_p=_number(backend_data, "top_p", "backend") if "top_p" in backend_data else defaults.top_p,
-        timeout=_number(backend_data, "timeout", "backend") if "timeout" in backend_data else defaults.timeout,
-        transport_retries=int(backend_data.get("transport_retries", defaults.transport_retries)),
-        repair_retries=int(backend_data.get("repair_retries", defaults.repair_retries)),
-        backoff_base=_number(backend_data, "backoff_base", "backend")
-        if "backoff_base" in backend_data
-        else defaults.backoff_base,
-        max_concurrency=int(backend_data.get("max_concurrency", defaults.max_concurrency)),
-        error_policy=str(backend_data.get("error_policy", defaults.error_policy)),
-        template_dir=backend_data.get("template_dir"),
-    )
-
-    iterations = top["iterations"]
-    if not isinstance(iterations, int) or isinstance(iterations, bool):
-        raise ConfigFormatError(f"iterations must be an integer, got {iterations!r}")
-    seed = top["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigFormatError(f"seed must be an integer, got {seed!r}")
-
-    locations = top["locations"]
-    if not isinstance(locations, list) or not all(isinstance(x, str) for x in locations):
-        raise ConfigFormatError("locations must be a list of strings")
-
-    return SimulationConfig(
-        agents=agents,
-        groups=groups,
-        locations=tuple(locations),
-        iterations=iterations,
-        menu=menu,
-        punishment=punishment,
-        imitation=imitation,
-        backend=backend,
-        seed=seed,
+        for f in dataclasses.fields(cls)
     )
 
 
-def save_config(config: SimulationConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n", encoding="utf-8")
-
-
-def load_config(path: str | Path) -> SimulationConfig:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise ConfigFormatError(f"config file not found: {path}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigFormatError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigFormatError("config document must be a JSON object")
-    return config_from_dict(data)
-
-
-def _require_keys(
-    data: Any,
-    required: tuple[str, ...],
-    where: str,
-    optional: tuple[str, ...] = (),
-) -> Mapping[str, Any]:
-    if not isinstance(data, Mapping):
-        raise ConfigFormatError(f"{where} must be an object")
-    unknown = set(data) - set(required) - set(optional)
-    if unknown:
-        raise ConfigFormatError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise ConfigFormatError(f"missing keys in {where}: {missing}")
-    return data
-
-
-def _each_mapping(
-    data: Any,
-    where: str,
-    required: tuple[str, ...],
-    optional: tuple[str, ...] = (),
-) -> list[Mapping[str, Any]]:
-    if not isinstance(data, list):
-        raise ConfigFormatError(f"{where} must be a list")
-    return [
-        _require_keys(item, required=required, optional=optional, where=f"{where}[{i}]")
-        for i, item in enumerate(data)
-    ]
-
-
-def _text(item: Mapping[str, Any], key: str, where: str) -> str:
-    value = item.get(key)
-    if not isinstance(value, str) or not value:
-        raise ConfigFormatError(f"{where}.{key} must be a non-empty string")
+def to_data(value: Any) -> Any:
+    """JSON-ready view: dataclasses become dicts in field order, None fields
+    are left out, enums become their values and tuples become lists."""
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [to_data(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        data = {}
+        for name, _, _ in _fields(type(value)):
+            item = getattr(value, name)
+            if item is not None:
+                data[name] = to_data(item)
+        return data
     return value
 
 
-def _number(item: Mapping[str, Any], key: str, where: str) -> float:
-    value = item.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigFormatError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+def from_data(tp: Any, data: Any, where: str) -> Any:
+    """Parse ``data`` as type ``tp``; every error names the path ``where``."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(data, Mapping):
+            raise ConfigFormatError(f"{where} must be an object, got {data!r}")
+        fields = _fields(tp)
+        unknown = set(data) - {name for name, _, _ in fields}
+        if unknown:
+            raise ConfigFormatError(f"unknown keys in {where}: {sorted(unknown)}")
+        kwargs = {}
+        for name, hint, has_default in fields:
+            if name in data:
+                kwargs[name] = from_data(hint, data[name], f"{where}.{name}")
+            elif not has_default:
+                raise ConfigFormatError(f"missing key {where}.{name}")
+        return tp(**kwargs)
+    origin = typing.get_origin(tp)
+    if origin is tuple:  # tuple[X, ...]
+        if not isinstance(data, list):
+            raise ConfigFormatError(f"{where} must be a list, got {data!r}")
+        item_tp = typing.get_args(tp)[0]
+        return tuple(from_data(item_tp, item, f"{where}[{i}]") for i, item in enumerate(data))
+    if origin in (types.UnionType, typing.Union):  # X | None
+        if data is None:
+            return None
+        (inner,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+        return from_data(inner, data, where)
+    if issubclass(tp, Enum):
+        try:
+            return tp(data)
+        except ValueError:
+            raise ConfigFormatError(
+                f"{where} must be one of {[m.value for m in tp]}, got {data!r}"
+            ) from None
+    if tp is float and type(data) in (int, float):
+        return float(data)
+    if type(data) is not tp:
+        raise ConfigFormatError(f"{where} must be a {tp.__name__}, got {data!r}")
+    return data
 
 
-def _strategy(item: Mapping[str, Any], where: str) -> Strategy:
-    label = item.get("strategy")
+def save_data(value: Any, path: str | Path) -> None:
+    """Write ``to_data(value)`` as indented JSON plus a trailing newline."""
+    Path(path).write_text(json.dumps(to_data(value), indent=2) + "\n", encoding="utf-8")
+
+
+def load_data(tp: Any, path: str | Path, where: str) -> Any:
+    """Read a JSON file as ``tp``; a missing or malformed file is a ConfigFormatError."""
     try:
-        return Strategy(label)
-    except ValueError as exc:
-        raise ConfigFormatError(
-            f"{where}.strategy must be one of {[s.value for s in Strategy]}, got {label!r}"
-        ) from exc
+        raw = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigFormatError(f"{where} file not found: {path}") from exc
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ConfigFormatError(f"{where} file {path} is not valid JSON: {exc}") from exc
+    return from_data(tp, data, where)
+
+
+def config_to_dict(config: SimulationConfig) -> dict[str, Any]:
+    return to_data(config)
+
+
+def config_from_dict(data: Mapping[str, Any]) -> SimulationConfig:
+    return from_data(SimulationConfig, data, "config")
+
+
+def save_config(config: SimulationConfig, path: str | Path) -> None:
+    save_data(config, path)
+
+
+def load_config(path: str | Path) -> SimulationConfig:
+    return load_data(SimulationConfig, path, "config")

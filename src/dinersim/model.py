@@ -295,6 +295,8 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
     agent_ids = [a.agent_id for a in config.agents]
     if not config.agents:
         violations.append(ConfigError("at least one agent is required"))
+    if any(not a.agent_id or not a.name for a in config.agents):
+        violations.append(ConfigError("agent_id and name must be non-empty"))
     dup_agents = _duplicates(agent_ids)
     if dup_agents:
         violations.append(ConfigError(f"duplicate agent ids: {sorted(dup_agents)}"))
@@ -319,6 +321,8 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
         violations.append(PartitionError(f"groups must be equally sized, got sizes {sorted(sizes)}"))
     if not config.groups:
         violations.append(PartitionError("at least one group is required"))
+    if any(not g.group_id for g in config.groups):
+        violations.append(ConfigError("group_id must be non-empty"))
     dup_groups = _duplicates([g.group_id for g in config.groups])
     if dup_groups:
         violations.append(ConfigError(f"duplicate group ids: {sorted(dup_groups)}"))
@@ -337,6 +341,21 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
         violations.append(ConfigError("iterations must be >= 0"))
 
     menu = config.menu
+    backend = config.backend
+    numbers = {
+        "menu.budget_cost": menu.budget_cost,
+        "menu.budget_value": menu.budget_value,
+        "menu.premium_cost": menu.premium_cost,
+        "menu.premium_value": menu.premium_value,
+        "imitation.beta": config.imitation.beta,
+        "backend.temperature": backend.temperature,
+        "backend.top_p": backend.top_p,
+        "backend.timeout": backend.timeout,
+        "backend.backoff_base": backend.backoff_base,
+    }
+    non_finite = [name for name, value in numbers.items() if not math.isfinite(value)]
+    if non_finite:
+        violations.append(ConfigError(f"numbers must be finite: {non_finite}"))
     if not (menu.premium_cost > menu.budget_cost):
         violations.append(ConfigError("premium_cost must exceed budget_cost"))
     if not (menu.premium_value > menu.budget_value):

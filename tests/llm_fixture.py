@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 _STRATEGY_RE = re.compile(r"Your strategy \[(P|R1|E|M)\]")
 
@@ -65,7 +65,7 @@ class FixtureServer:
                 self.end_headers()
                 self.wfile.write(payload)
 
-        self._httpd = HTTPServer(("127.0.0.1", 0), Handler)
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
 
     def reply_for(self, body: dict) -> str:

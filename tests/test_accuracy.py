@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from dinersim.backends.accuracy import (
@@ -11,6 +13,7 @@ from dinersim.backends.accuracy import (
 from dinersim.backends.base import DecisionKind
 from dinersim.backends.llm import LlmBackend
 from dinersim.backends.oracle import RuleOracle
+from dinersim.config_io import ConfigFormatError, to_data
 from dinersim.model import BackendConfig, Strategy
 
 from llm_fixture import FixtureServer
@@ -96,11 +99,35 @@ def test_suite_save_load_round_trip(tmp_path):
     path = tmp_path / "suite.json"
     save_suite(suite, path)
     assert load_suite(path) == suite
+    assert "null" not in path.read_text()
+
+
+def test_suite_with_explicit_nulls_still_loads(tmp_path):
+    # Earlier versions wrote every optional context field, null or not.
+    data = to_data(build_scenario_suite())
+    for item in data:
+        for key in ("punishment_p", "punishment_k", "menu_description", "target_name", "evidence"):
+            item["ctx"].setdefault(key, None)
+        for entry in item["ctx"]["roster"]:
+            entry.setdefault("visible_action", None)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(data, indent=2))
+    assert load_suite(path) == build_scenario_suite()
+
+
+@pytest.mark.parametrize("where, key", [("", "difficulty"), ("ctx", "mood"), ("roster", "age")])
+def test_suite_unknown_key_rejected(tmp_path, where, key):
+    data = to_data(build_scenario_suite()[:3])
+    target = {"": data[1], "ctx": data[1]["ctx"], "roster": data[1]["ctx"]["roster"][0]}[where]
+    target[key] = 1
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigFormatError, match=key) as exc_info:
+        load_suite(path)
+    assert "suite[1]" in str(exc_info.value)
 
 
 def test_report_to_dict_is_json_ready():
-    import json
-
     report = evaluate_accuracy(RuleOracle(), build_scenario_suite())
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["accuracy"] == 1.0

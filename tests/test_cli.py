@@ -55,6 +55,17 @@ class TestSimulate:
                      "--backend", "oracle", "--seed", "2", "--out", str(out_b)]) == 0
         assert (out_a / "events.jsonl").read_text() != (out_b / "events.jsonl").read_text()
 
+    def test_non_finite_number_in_config_file_is_config_error(self, oracle_config_path, tmp_path, capsys):
+        text = oracle_config_path.read_text().replace('"beta": 1.0', '"beta": NaN')
+        assert "NaN" in text
+        oracle_config_path.write_text(text)
+        code = main([
+            "simulate", "--config", str(oracle_config_path),
+            "--backend", "oracle", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "imitation.beta" in capsys.readouterr().err
+
     def test_early_stop_flag_accepted(self, oracle_config_path, tmp_path):
         assert main(["simulate", "--config", str(oracle_config_path),
                      "--backend", "oracle", "--out", str(tmp_path / "out"),
@@ -145,6 +156,26 @@ class TestEvalBackend:
         assert suite_path.exists()
         assert main(["eval-backend", "--backend", "oracle", "--out", str(report_path),
                      "--suite", str(suite_path)]) == 0
+
+    @pytest.mark.parametrize("text", ["[{\"scenario_id\": \"x\", \"extra\": 1}]", "not json"])
+    def test_malformed_suite_is_config_error(self, tmp_path, text):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(text)
+        code = main(["eval-backend", "--backend", "oracle", "--out", str(tmp_path / "r.json"),
+                     "--suite", str(suite_path)])
+        assert code == 2
+
+    def test_every_scenario_rejected_by_transport_is_backend_failure(self, tmp_path, monkeypatch):
+        from dinersim.backends.accuracy import build_scenario_suite
+        from llm_fixture import FixtureServer
+
+        with FixtureServer(mode="oracle") as server:
+            server.fail_next([401] * len(build_scenario_suite()))
+            monkeypatch.setenv("LLM_BASE_URL", server.base_url)
+            monkeypatch.setenv("LLM_MODEL", "fixture-model")
+            code = main(["eval-backend", "--backend", "llm", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "HTTP 401" in json.loads((tmp_path / "r.json").read_text())["failures"][0]
 
     def test_llm_without_endpoint_is_backend_failure(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("LLM_BASE_URL", raising=False)
