@@ -172,18 +172,22 @@ def build_scenario_suite(p: float = 6.0, k: float = 1.0) -> list[Scenario]:
 
 
 def evaluate_accuracy(backend: DecisionBackend, suite: Sequence[Scenario]) -> AccuracyReport:
-    """Score a backend against the suite; a backend error counts as a miss."""
+    """Score a backend against the suite; a backend error counts as a miss.
+
+    The whole suite goes to the backend as one :meth:`~DecisionBackend.decide_each`
+    batch, so an LLM backend answers up to ``max_concurrency`` scenarios at once.
+    """
     report = AccuracyReport(backend_name=backend.name)
-    for scenario in suite:
-        try:
-            decision = backend.decide(scenario.ctx)
-            got = decision.choice
-            matched = got == scenario.expected_choice
-        except BackendError as exc:
+    results = backend.decide_each([scenario.ctx for scenario in suite])
+    for scenario, result in zip(suite, results):
+        if isinstance(result, BackendError):
             got = None
             matched = False
-            report.failures.append(f"{scenario.scenario_id}: {exc}")
-            report.transport_failures += isinstance(exc, TransportError)
+            report.failures.append(f"{scenario.scenario_id}: {result}")
+            report.transport_failures += isinstance(result, TransportError)
+        else:
+            got = result.choice
+            matched = got == scenario.expected_choice
         report.total += 1
         report.matched += int(matched)
         for table, key in (

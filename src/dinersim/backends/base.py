@@ -141,6 +141,20 @@ class DecisionBackend(ABC):
         """
         return [self.decide(ctx) for ctx in contexts]
 
+    def decide_each(self, contexts: Sequence[DecisionContext]) -> list[Decision | BackendError]:
+        """Answer every context, in order, keeping failures per item.
+
+        A context whose decision fails gets its :class:`BackendError` in its
+        slot instead of the error being raised.
+        """
+        return [self._decide_or_error(ctx) for ctx in contexts]
+
+    def _decide_or_error(self, ctx: DecisionContext) -> Decision | BackendError:
+        try:
+            return self.decide(ctx)
+        except BackendError as exc:
+            return exc
+
     def for_run(self, rng: np.random.Generator) -> "DecisionBackend":
         """Bind a run-scoped RNG (retry jitter only). Default: stateless."""
         del rng

@@ -22,13 +22,14 @@ from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 from string import Template
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 import requests
 
 from ..model import BackendConfig, PunishmentMode
 from .base import (
+    BackendError,
     Decision,
     DecisionBackend,
     DecisionContext,
@@ -43,6 +44,8 @@ from .base import (
 )
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 ENV_BASE_URL = "LLM_BASE_URL"
 ENV_MODEL = "LLM_MODEL"
@@ -171,8 +174,8 @@ class LlmBackend(DecisionBackend):
 
     Endpoint settings default to the LLM_BASE_URL, LLM_MODEL and LLM_API_KEY
     environment variables. Up to ``settings.max_concurrency`` requests may be
-    in flight at once in :meth:`decide_many`; results always come back in
-    input order.
+    in flight at once in :meth:`decide_many` and :meth:`decide_each`; results
+    always come back in input order.
     """
 
     name = "llm"
@@ -235,11 +238,18 @@ class LlmBackend(DecisionBackend):
         raise last_error
 
     def decide_many(self, contexts: Sequence[DecisionContext]) -> list[Decision]:
+        return self._pooled(self.decide, contexts)
+
+    def decide_each(self, contexts: Sequence[DecisionContext]) -> list[Decision | BackendError]:
+        return self._pooled(self._decide_or_error, contexts)
+
+    def _pooled(self, answer: Callable[[DecisionContext], T], contexts: Sequence[DecisionContext]) -> list[T]:
+        """``answer`` every context with up to ``max_concurrency`` in flight, in input order."""
         if self.settings.max_concurrency <= 1 or len(contexts) <= 1:
-            return [self.decide(ctx) for ctx in contexts]
+            return [answer(ctx) for ctx in contexts]
         workers = min(self.settings.max_concurrency, len(contexts))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.decide, contexts))
+            return list(pool.map(answer, contexts))
 
     def _complete(self, messages: list[dict[str, str]]) -> str:
         """One chat completion with bounded transport retries."""

@@ -20,7 +20,6 @@ from .config_io import load_config, save_config
 from .model import (
     BackendConfig,
     ConfigError,
-    SimulationConfig,
     STRATEGY_ORDER,
     census_of,
     paper_preset,
@@ -93,6 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="scenario suite JSON (default: generate the full suite)")
     evaluate.add_argument("--save-suite", default=None,
                           help="also write the generated suite to this path")
+    evaluate.add_argument("--config", default=None,
+                          help="JSON config file whose backend settings to use "
+                          "(default: built-in settings)")
     evaluate.add_argument("--trace-llm", action="store_true")
     evaluate.set_defaults(func=cmd_eval_backend)
 
@@ -105,10 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_backend(kind: str, config: SimulationConfig, trace: bool):
-    if kind == "oracle":
+def make_backend(settings: BackendConfig, trace: bool):
+    if settings.kind == "oracle":
         return RuleOracle()
-    return LlmBackend(settings=replace(config.backend, kind="llm"), trace=trace)
+    return LlmBackend(settings=settings, trace=trace)
 
 
 def write_run_outputs(result: RunResult, out_dir: Path, title: str | None = None) -> None:
@@ -137,7 +139,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = replace(config, seed=args.seed)
     config = replace(config, backend=replace(config.backend, kind=args.backend))
     validate_config(config)
-    backend = make_backend(args.backend, config, args.trace_llm)
+    backend = make_backend(config.backend, args.trace_llm)
     result = run_simulation(config, backend, early_stop=args.early_stop)
     write_run_outputs(result, Path(args.out))
     print_census(result.final_census)
@@ -179,7 +181,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         backend=BackendConfig(kind=args.backend),
     )
     validate_config(config)
-    backend = make_backend(args.backend, config, args.trace_llm)
+    backend = make_backend(config.backend, args.trace_llm)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,13 +210,15 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_backend(args: argparse.Namespace) -> int:
+    settings = BackendConfig(kind=args.backend)
+    if args.config:
+        config = load_config(args.config)
+        config = replace(config, backend=replace(config.backend, kind=args.backend))
+        settings = validate_config(config).backend
     suite = load_suite(args.suite) if args.suite else build_scenario_suite()
     if args.save_suite:
         save_suite(suite, args.save_suite)
-    if args.backend == "oracle":
-        backend = RuleOracle()
-    else:
-        backend = LlmBackend(trace=args.trace_llm)
+    backend = make_backend(settings, args.trace_llm)
     report = evaluate_accuracy(backend, suite)
     Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
 

@@ -20,6 +20,7 @@ from .backends.base import (
     DecisionContext,
     DecisionKind,
     RosterEntry,
+    SchemaError,
     check_decision,
 )
 from .model import (
@@ -165,18 +166,22 @@ def _punish_decisions(
     """Run a batch of punish decisions under the configured error policy."""
     if error_policy == "abstain":
         decisions = []
-        for ctx in contexts:
-            try:
-                decisions.append(check_decision(backend.decide(ctx), ctx))
-            except BackendError as exc:
+        for ctx, result in zip(contexts, backend.decide_each(contexts)):
+            if isinstance(result, Decision):
+                try:
+                    result = check_decision(result, ctx)
+                except SchemaError as exc:
+                    result = exc
+            if isinstance(result, BackendError):
                 log.warning(
                     "backend failed on %s by %s against %s; recording abstention: %s",
                     ctx.kind.value,
                     ctx.actor_name,
                     ctx.target_name,
-                    exc,
+                    result,
                 )
-                decisions.append(Decision(choice="abstain", rationale=f"backend failure: {exc}"))
+                result = Decision(choice="abstain", rationale=f"backend failure: {result}")
+            decisions.append(result)
         return decisions
     decisions = backend.decide_many(contexts)
     return [check_decision(d, ctx) for d, ctx in zip(decisions, contexts)]

@@ -408,6 +408,13 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
 
     if config.backend.kind not in ("oracle", "llm"):
         violations.append(ConfigError(f"unknown backend kind '{config.backend.kind}'"))
+    if not backend.timeout > 0:
+        violations.append(ConfigError("backend.timeout must be > 0"))
+    for name, floor in (
+        ("backoff_base", 0), ("transport_retries", 0), ("repair_retries", 0), ("max_concurrency", 1),
+    ):
+        if not getattr(backend, name) >= floor:
+            violations.append(ConfigError(f"backend.{name} must be >= {floor}"))
     if config.backend.error_policy not in ("abort", "abstain"):
         violations.append(ConfigError(f"unknown error policy '{config.backend.error_policy}'"))
 

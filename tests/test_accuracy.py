@@ -19,9 +19,9 @@ from dinersim.model import BackendConfig, Strategy
 from llm_fixture import FixtureServer
 
 
-def fixture_backend(server: FixtureServer) -> LlmBackend:
+def fixture_backend(server: FixtureServer, max_concurrency: int = 1) -> LlmBackend:
     return LlmBackend(
-        settings=BackendConfig(kind="llm", backoff_base=0.001, timeout=5.0),
+        settings=BackendConfig(kind="llm", backoff_base=0.001, timeout=5.0, max_concurrency=max_concurrency),
         base_url=server.base_url,
         model="fixture-model",
         api_key="test-key",
@@ -49,6 +49,17 @@ def test_mock_llm_replaying_oracle_answers_is_perfect():
         report = evaluate_accuracy(fixture_backend(server), suite)
     assert report.matched == report.total == len(suite)
     assert report.accuracy == 1.0
+
+
+@pytest.mark.parametrize("mode", ["oracle", "always-premium"])
+def test_concurrent_report_equals_serial_report(mode):
+    suite = build_scenario_suite()
+    with FixtureServer(mode=mode) as server:
+        serial = evaluate_accuracy(fixture_backend(server), suite)
+        concurrent = evaluate_accuracy(fixture_backend(server, max_concurrency=4), suite)
+    # always-premium fails every punish scenario, so this also pins the failure order
+    assert concurrent.to_dict() == serial.to_dict()
+    assert concurrent.transport_failures == serial.transport_failures == 0
 
 
 def test_always_premium_matches_suite_fraction():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -65,6 +66,16 @@ class TestSimulate:
         ])
         assert code == 2
         assert "imitation.beta" in capsys.readouterr().err
+
+    def test_negative_repair_retries_is_config_error(self, oracle_config_path, tmp_path, capsys):
+        config = load_config(oracle_config_path)
+        save_config(replace(config, backend=replace(config.backend, repair_retries=-1)), oracle_config_path)
+        code = main([
+            "simulate", "--config", str(oracle_config_path),
+            "--backend", "llm", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "backend.repair_retries" in capsys.readouterr().err
 
     def test_early_stop_flag_accepted(self, oracle_config_path, tmp_path):
         assert main(["simulate", "--config", str(oracle_config_path),
@@ -176,6 +187,31 @@ class TestEvalBackend:
             code = main(["eval-backend", "--backend", "llm", "--out", str(tmp_path / "r.json")])
         assert code == 3
         assert "HTTP 401" in json.loads((tmp_path / "r.json").read_text())["failures"][0]
+
+    def test_config_backend_settings_reach_the_backend(self, tmp_path, monkeypatch):
+        from llm_fixture import FixtureServer
+
+        settings = BackendConfig(kind="llm", repair_retries=0, backoff_base=0.001, timeout=5.0)
+        config_path = tmp_path / "config.json"
+        save_config(paper_preset(1, "6:1", seed=1, backend=settings), config_path)
+        with FixtureServer(mode="garbage") as server:
+            monkeypatch.setenv("LLM_BASE_URL", server.base_url)
+            monkeypatch.setenv("LLM_MODEL", "fixture-model")
+            code = main(["eval-backend", "--backend", "llm", "--config", str(config_path),
+                         "--out", str(tmp_path / "r.json")])
+            sent = len(server.requests)
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert code == 0
+        assert (report["total"], report["matched"], len(report["failures"])) == (60, 0, 60)
+        assert sent == 60  # one request per scenario; the default two repairs would send 180
+
+    def test_invalid_config_is_config_error(self, oracle_config_path, tmp_path):
+        config = load_config(oracle_config_path)
+        save_config(replace(config, backend=replace(config.backend, max_concurrency=0)), oracle_config_path)
+        code = main(["eval-backend", "--backend", "oracle", "--config", str(oracle_config_path),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert not (tmp_path / "r.json").exists()
 
     def test_llm_without_endpoint_is_backend_failure(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("LLM_BASE_URL", raising=False)

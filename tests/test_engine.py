@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from dinersim.backends.accuracy import build_scenario_suite
 from dinersim.backends.base import (
     Decision,
     DecisionBackend,
@@ -345,6 +346,25 @@ class TestErrorPolicy:
                 return oracle_decide(ctx)
             raise TransportError("punish endpoint down")
 
+    class BatchOnlyPunisher(FailingPunisher):
+        """Fails every punish decision and refuses one asked outside decide_each."""
+
+        def __init__(self):
+            self.batches: list[list[str]] = []
+            self._in_batch = False
+
+        def decide_each(self, contexts):
+            self.batches.append([ctx.actor_name for ctx in contexts])
+            self._in_batch = True
+            try:
+                return super().decide_each(contexts)
+            finally:
+                self._in_batch = False
+
+        def decide(self, ctx: DecisionContext) -> Decision:
+            assert ctx.kind is DecisionKind.ORDER or self._in_batch, "punish decision outside decide_each"
+            return super().decide(ctx)
+
     def test_abort_policy_propagates(self):
         with pytest.raises(TransportError):
             run_round(["M", "P", "E", "R1"], backend=self.FailingPunisher())
@@ -364,3 +384,41 @@ class TestErrorPolicy:
         # nobody punished, so the fresh R1 keeps its flag down and banks the temptation payoff
         assert group[3].r1_punished is False
         assert result.iteration_utilities["a4"] == 7.0
+
+    def test_abstain_policy_batches_punish_decisions(self, caplog):
+        import logging
+
+        backend = self.BatchOnlyPunisher()
+        with caplog.at_level(logging.WARNING, logger="dinersim.engine"):
+            result = run_group_round(
+                make_group(["M", "P", "E", "R1"]), group_id="g1", location="pub", iteration=1,
+                menu=DEFAULT_MENU, params=P63, backend=backend, error_policy="abstain",
+            )
+        assert result.ledger.events == ()
+        # round 1 is one batch; round 2a has no observer outside np1 and the defectors
+        assert backend.batches == [["a1", "a2", "a3"], []]
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 3
+        for warning, observer in zip(warnings, ["a1", "a2", "a3"]):
+            assert f"by {observer} against a4; recording abstention" in warning
+
+
+class TestDecideEach:
+    class EveryOtherFails(DecisionBackend):
+        name = "every-other-fails"
+
+        def __init__(self):
+            self.calls = 0
+
+        def decide(self, ctx: DecisionContext) -> Decision:
+            index, self.calls = self.calls, self.calls + 1
+            if index % 2:
+                raise TransportError(f"context {index} failed")
+            return oracle_decide(ctx)
+
+    def test_base_returns_failures_in_their_slots(self):
+        contexts = [s.ctx for s in build_scenario_suite()[:6]]
+        results = self.EveryOtherFails().decide_each(contexts)
+        assert [type(r) for r in results] == [Decision, TransportError] * 3
+        assert results[0::2] == [oracle_decide(ctx) for ctx in contexts[0::2]]
+        assert [str(r) for r in results[1::2]] == [f"context {i} failed" for i in (1, 3, 5)]

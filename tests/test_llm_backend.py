@@ -188,6 +188,22 @@ class TestLlmDecide:
             concurrent = make_backend(server, max_concurrency=4).decide_many(contexts)
         assert [d.choice for d in concurrent] == [d.choice for d in sequential]
 
+    def test_decide_each_concurrent_matches_serial(self, suite):
+        contexts = [s.ctx for s in suite]
+        with FixtureServer(mode="oracle") as server:
+            serial = make_backend(server).decide_each(contexts)
+            concurrent = make_backend(server, max_concurrency=4).decide_each(contexts)
+        assert [d.choice for d in concurrent] == [d.choice for d in serial]
+        assert [d.choice for d in serial] == [s.expected_choice for s in suite]
+
+    def test_decide_each_keeps_every_failure_in_its_slot(self, suite):
+        contexts = [s.ctx for s in suite[:12]]
+        with FixtureServer(mode="garbage") as server:
+            results = make_backend(server, max_concurrency=4, repair_retries=0).decide_each(contexts)
+            assert len(server.requests) == len(contexts)
+        assert len(results) == len(contexts)
+        assert all(isinstance(r, ParseError) for r in results)
+
     def test_backend_decided_simulation_records_chosen_severities(self):
         from dinersim.model import paper_preset, validate_config
         from dinersim.runner import run_simulation

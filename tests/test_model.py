@@ -115,6 +115,20 @@ class TestValidateConfig:
         with pytest.raises(ConfigValidationError, match=field):
             validate_config(config)
 
+    @pytest.mark.parametrize("name, value", [
+        ("timeout", 0.0),
+        ("timeout", -1.0),
+        ("backoff_base", -0.5),
+        ("transport_retries", -1),
+        ("repair_retries", -1),
+        ("max_concurrency", 0),
+    ])
+    def test_out_of_range_backend_settings_rejected(self, name, value):
+        config = make_config([["M", "P", "E", "R1"]])
+        config = replace(config, backend=replace(config.backend, **{name: value}))
+        with pytest.raises(ConfigValidationError, match=f"backend.{name} must be"):
+            validate_config(config)
+
     def test_empty_ids_and_names_rejected(self):
         config = make_config([["M", "P", "E", "R1"]])
         config = replace(
