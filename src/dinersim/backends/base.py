@@ -129,6 +129,13 @@ class DecisionBackend(ABC):
 
     name: str = "backend"
 
+    #: A pure backend's decision depends only on ``ctx.kind``,
+    #: ``actor_strategy``, ``actor_r1_punished`` and the punishment mode,
+    #: ``p`` and ``k``. The engine then memoises whole group outcomes in the
+    #: backend's ``group_memo`` dict, which a pure backend must provide, so
+    #: the memo is freed with the instance. Failures are never memoised.
+    pure: bool = False
+
     @abstractmethod
     def decide(self, ctx: DecisionContext) -> Decision:
         """Answer one decision context; raises BackendError on failure."""

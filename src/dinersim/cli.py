@@ -8,6 +8,7 @@ are stable: 0 success, 1 I/O failure, 2 invalid configuration or usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -35,7 +36,7 @@ from .reporting import (
     write_event_log,
     write_trend_svg,
 )
-from .runner import RunResult, RunStatus, run_replications, run_simulation
+from .runner import MAX_JOBS, RunResult, RunStatus, run_replications, run_simulation
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +46,17 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: each parse fills a fresh
+    namespace, so one call's options never reach the next."""
     parser = argparse.ArgumentParser(
         prog="dinersim",
         description="n-player Diner's Dilemma simulator with metanorm punishment "
@@ -80,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--seeds", type=int, help="run seeds 0..N-1")
     seeds.add_argument("--seed-list", help="file with one integer seed per line")
     replicate.add_argument("--out", required=True, help="output directory")
-    replicate.add_argument("--jobs", type=int, default=1, help="parallel runs (default serial)")
+    replicate.add_argument("--jobs", type=positive_int, default=1,
+                           help=f"parallel runs, capped at the seed count and {MAX_JOBS} "
+                           "(default serial)")
     replicate.add_argument("--early-stop", action="store_true")
     replicate.add_argument("--trace-llm", action="store_true")
     replicate.set_defaults(func=cmd_replicate)

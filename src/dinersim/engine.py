@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .backends.base import (
     BackendError,
@@ -433,6 +433,25 @@ def apply_utilities(
     return utilities
 
 
+# Entries kept per backend memo. A group of n members has up to 5**n
+# (strategy, flag) seatings, so large groups must not grow it without bound.
+GROUP_MEMO_LIMIT = 4096
+
+
+class _MemoOutcome(NamedTuple):
+    """A pure backend's group outcome with agents as seat indices."""
+
+    choices: tuple[MealChoice, ...]
+    bill_total: float
+    meal_payoffs: tuple[float, ...]
+    events: tuple[tuple[int, int, PunishmentLevel, float, float], ...]
+    defectors: tuple[int, ...]
+    np1: tuple[int, ...]
+    np2: tuple[int, ...]
+    converted: tuple[int, ...]  # seats whose r1_punished flag this round set
+    utilities: tuple[float, ...]
+
+
 def run_group_round(
     group: Sequence[AgentState],
     *,
@@ -444,7 +463,20 @@ def run_group_round(
     backend: DecisionBackend,
     error_policy: str = "abort",
 ) -> GroupRoundResult:
-    """Run the full per-group pipeline for one iteration."""
+    """Run the full per-group pipeline for one iteration.
+
+    For a pure backend the outcome is memoised on the backend, keyed by the
+    seat-ordered (strategy, r1_punished) pairs of the group plus ``menu``,
+    ``params`` and ``error_policy``. A hit rebuilds an equal result for this
+    iteration and applies the same agent updates without asking the backend.
+    """
+    memo = backend.group_memo if backend.pure else None
+    if memo is not None:
+        seating = tuple((a.strategy, a.r1_punished) for a in group)
+        key = (seating, menu, params, error_policy)
+        outcome = memo.get(key)
+        if outcome is not None:
+            return _replay(group, outcome, group_id=group_id, location=location, iteration=iteration)
     orders = collect_orders(
         group, menu, backend,
         iteration=iteration, location=location, params=params, group_id=group_id,
@@ -463,7 +495,7 @@ def run_group_round(
     events = tuple(round1_events + round2_events)
     utilities = apply_utilities(group, meal_payoffs, events)
     bill_total = sum(menu.cost(c) for c in orders.choices.values())
-    return GroupRoundResult(
+    result = GroupRoundResult(
         group_id=group_id,
         location=location,
         order_sheet=orders,
@@ -473,6 +505,82 @@ def run_group_round(
             events=events, defectors=defectors, np1=np1, np2=np2
         ),
         iteration_utilities=utilities,
+    )
+    # Threads sharing the backend may both miss a key; they store equal outcomes.
+    if memo is not None and len(memo) < GROUP_MEMO_LIMIT:
+        memo[key] = _memo_outcome(group, seating, result)
+    return result
+
+
+def _memo_outcome(
+    group: Sequence[AgentState],
+    seating: tuple[tuple[Strategy, bool], ...],
+    result: GroupRoundResult,
+) -> _MemoOutcome:
+    ids = [a.agent_id for a in group]
+    seat = {agent_id: i for i, agent_id in enumerate(ids)}
+    ledger = result.ledger
+
+    def seats(agent_ids: frozenset[str]) -> tuple[int, ...]:
+        return tuple(seat[a] for a in agent_ids)
+
+    return _MemoOutcome(
+        choices=tuple(result.order_sheet.choices[a] for a in ids),
+        bill_total=result.bill_total,
+        meal_payoffs=tuple(result.meal_payoffs[a] for a in ids),
+        events=tuple(
+            (seat[e.punisher_id], seat[e.target_id], e.level, e.cost_to_punisher, e.cost_to_target)
+            for e in ledger.events
+        ),
+        defectors=seats(ledger.defectors),
+        np1=seats(ledger.np1),
+        np2=seats(ledger.np2),
+        converted=tuple(
+            i for i, (agent, (_, before)) in enumerate(zip(group, seating))
+            if agent.r1_punished != before
+        ),
+        utilities=tuple(result.iteration_utilities[a] for a in ids),
+    )
+
+
+def _replay(
+    group: Sequence[AgentState],
+    outcome: _MemoOutcome,
+    *,
+    group_id: str,
+    location: str,
+    iteration: int,
+) -> GroupRoundResult:
+    ids = [a.agent_id for a in group]
+    for i in outcome.converted:
+        group[i].r1_punished = True
+    for agent, utility in zip(group, outcome.utilities):
+        agent.iteration_utility = utility
+        agent.cumulative_utility += utility
+    events = tuple(
+        PunishmentEvent(
+            iteration=iteration,
+            punisher_id=ids[punisher],
+            target_id=ids[target],
+            level=level,
+            cost_to_punisher=cost_k,
+            cost_to_target=cost_p,
+        )
+        for punisher, target, level, cost_k, cost_p in outcome.events
+    )
+    return GroupRoundResult(
+        group_id=group_id,
+        location=location,
+        order_sheet=OrderSheet(group_id=group_id, choices=dict(zip(ids, outcome.choices))),
+        bill_total=outcome.bill_total,
+        meal_payoffs=dict(zip(ids, outcome.meal_payoffs)),
+        ledger=PunishmentLedger(
+            events=events,
+            defectors=frozenset(ids[i] for i in outcome.defectors),
+            np1=frozenset(ids[i] for i in outcome.np1),
+            np2=frozenset(ids[i] for i in outcome.np2),
+        ),
+        iteration_utilities=dict(zip(ids, outcome.utilities)),
     )
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -63,14 +64,27 @@ class RunResult:
     error: str | None = None
 
 
+# Every config field but the seed, and the last such values run_id_for
+# hashed with their digest. The runs of one batch share these values by
+# identity; holding them keeps them alive, so an identity match is the same
+# frozen document. Equality would not do: 6 == 6.0 but they serialise apart.
+_SEEDLESS_FIELDS = tuple(f.name for f in fields(SimulationConfig) if f.name != "seed")
+_last_digest: tuple[tuple, str] | None = None
+
+
 def run_id_for(config: SimulationConfig) -> str:
     """Stable identifier from the config content hash plus the seed."""
-    without_seed = config_to_dict(config)
-    seed = without_seed.pop("seed")
-    digest = hashlib.sha256(
-        json.dumps(without_seed, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return f"{digest[:10]}-s{seed}"
+    global _last_digest
+    values = tuple(getattr(config, name) for name in _SEEDLESS_FIELDS)
+    cached = _last_digest
+    if cached is None or not all(map(operator.is_, values, cached[0])):
+        without_seed = config_to_dict(config)
+        del without_seed["seed"]
+        digest = hashlib.sha256(
+            json.dumps(without_seed, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        cached = _last_digest = (values, digest)
+    return f"{cached[1][:10]}-s{config.seed}"
 
 
 def derive_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -217,6 +231,11 @@ class BatchSummary:
         return sum(1 for r in self.rows if r.status is RunStatus.ABORTED)
 
 
+# Ceiling on replication threads. Threads overlap only waiting, such as LLM
+# requests, so more workers than this add thread overhead, not speed.
+MAX_JOBS = 32
+
+
 def run_replications(
     config: SimulationConfig,
     backend: DecisionBackend,
@@ -233,8 +252,11 @@ def run_replications(
     seed is allowed but warned about; an aborted run is reported in its row
     rather than failing the batch. With ``out_dir`` each run's event log is
     written to ``<out_dir>/<run_id>/events.jsonl`` and the path recorded in
-    its summary row.
+    its summary row. Runs go to a thread pool of
+    ``min(jobs, len(seeds), MAX_JOBS)`` workers when that exceeds one.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if len(set(seeds)) != len(seeds):
         warnings.warn("duplicate seeds in replication batch; trajectories will repeat", stacklevel=2)
 
@@ -249,8 +271,9 @@ def run_replications(
             log_path = str(write_event_log(result, run_dir / "events.jsonl"))
         return result, log_path
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(seeds), MAX_JOBS)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, seeds))
     else:
         outcomes = [one(seed) for seed in seeds]

@@ -99,3 +99,13 @@ class ScriptedOrdersBackend(DecisionBackend):
         if ctx.kind is DecisionKind.ORDER:
             return Decision(choice=self.orders[ctx.actor_name])
         return oracle_decide(ctx)
+
+
+class ImpureOracle(DecisionBackend):
+    """The oracle's rule as an impure backend: the engine asks it every
+    decision instead of replaying memoised group outcomes."""
+
+    name = "impure-oracle"
+
+    def decide(self, ctx: DecisionContext) -> Decision:
+        return oracle_decide(ctx)

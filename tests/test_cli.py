@@ -138,6 +138,15 @@ class TestReplicate:
                      "--backend", "oracle", "--seeds", "2", "--out", str(tmp_path / "b")])
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_two(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["replicate", "--combination", "1", "--punishment", "3:1", "--backend", "oracle",
+                  "--seeds", "2", "--out", str(tmp_path / "batch"), "--jobs", jobs])
+        assert exc_info.value.code == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "batch").exists()
+
     def test_seed_list_file(self, tmp_path):
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("3\n14\n159\n")
@@ -230,6 +239,16 @@ class TestReport:
                      "--out", str(rebuilt)]) == 0
         assert (rebuilt / "census.csv").read_text() == (out / "census.csv").read_text()
         assert (rebuilt / "trend.svg").read_text() == (out / "trend.svg").read_text()
+
+    def test_options_do_not_leak_into_the_next_call(self, oracle_config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(oracle_config_path),
+                     "--backend", "oracle", "--out", str(out)]) == 0
+        log = str(out / "events.jsonl")
+        assert main(["report", "--log", log, "--out", str(tmp_path / "titled"), "--title", "X"]) == 0
+        assert main(["report", "--log", log, "--out", str(tmp_path / "default")]) == 0
+        assert ">X</text>" in (tmp_path / "titled" / "trend.svg").read_text()
+        assert (tmp_path / "default" / "trend.svg").read_text() == (out / "trend.svg").read_text()
 
     def test_missing_log_is_io_error(self, tmp_path):
         code = main(["report", "--log", str(tmp_path / "absent.jsonl"),

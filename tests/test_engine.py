@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from dinersim import engine
 from dinersim.backends.accuracy import build_scenario_suite
 from dinersim.backends.base import (
     Decision,
@@ -11,8 +13,10 @@ from dinersim.backends.base import (
     DecisionContext,
     DecisionKind,
     TransportError,
+    UnsupportedModeError,
 )
-from dinersim.backends.oracle import oracle_decide
+from dinersim.backends.llm import LlmBackend
+from dinersim.backends.oracle import RuleOracle, oracle_decide
 from dinersim.engine import (
     OrderSheet,
     apply_utilities,
@@ -32,7 +36,7 @@ from dinersim.model import (
     Strategy,
 )
 
-from conftest import ScriptedOrdersBackend, make_group
+from conftest import ImpureOracle, ScriptedOrdersBackend, make_group
 from enumerator import enumerate_utilities
 
 P63 = PunishmentParams(p=6.0, k=1.0)
@@ -422,3 +426,53 @@ class TestDecideEach:
         assert [type(r) for r in results] == [Decision, TransportError] * 3
         assert results[0::2] == [oracle_decide(ctx) for ctx in contexts[0::2]]
         assert [str(r) for r in results[1::2]] == [f"context {i} failed" for i in (1, 3, 5)]
+
+
+class TestGroupMemo:
+    def round_at(self, backend, iteration, labels=("M", "P", "E", "R1"), params=P63):
+        group = make_group(list(labels))
+        return group, run_group_round(
+            group, group_id="g2", location="cafe", iteration=iteration,
+            menu=DEFAULT_MENU, params=params, backend=backend,
+        )
+
+    def test_only_the_oracle_is_pure(self):
+        assert RuleOracle.pure
+        assert not DecisionBackend.pure and not LlmBackend.pure and not ImpureOracle.pure
+
+    def test_hit_equals_miss(self, oracle, monkeypatch):
+        _, miss = self.round_at(oracle, iteration=1)
+        assert len(oracle.group_memo) == 1
+
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("a memo hit must not ask the backend")
+
+        monkeypatch.setattr(engine, "collect_orders", no_pipeline)
+        hit_group, hit = self.round_at(oracle, iteration=2)
+        monkeypatch.undo()
+        ref_group, reference = self.round_at(ImpureOracle(), iteration=2)
+
+        assert hit == reference
+        assert hit_group == ref_group  # r1_punished and both utilities
+        assert hit.ledger.defectors == miss.ledger.defectors == frozenset({"a4"})
+        assert hit.ledger.np1 == miss.ledger.np1 == frozenset({"a3"})
+        assert hit.ledger.np2 == miss.ledger.np2 == frozenset({"a2"})
+        assert hit.ledger.events == tuple(replace(e, iteration=2) for e in miss.ledger.events)
+        assert list(hit.order_sheet.choices) == list(reference.order_sheet.choices)
+        assert list(hit.meal_payoffs) == list(reference.meal_payoffs)
+
+    def test_backend_decided_mode_raises_on_every_call(self, oracle):
+        params = PunishmentParams(mode=PunishmentMode.BACKEND_DECIDED)
+        for iteration in (1, 2, 3):
+            with pytest.raises(UnsupportedModeError):
+                self.round_at(oracle, iteration, params=params)
+        assert oracle.group_memo == {}
+
+    def test_memo_stops_growing_at_its_limit(self, oracle, monkeypatch):
+        monkeypatch.setattr(engine, "GROUP_MEMO_LIMIT", 1)
+        self.round_at(oracle, 1)
+        for _ in range(2):
+            _, result = self.round_at(oracle, 1, labels=("R1", "E", "E", "P"))
+            _, reference = self.round_at(ImpureOracle(), 1, labels=("R1", "E", "E", "P"))
+            assert result == reference
+        assert len(oracle.group_memo) == 1

@@ -1,20 +1,27 @@
 from __future__ import annotations
 
+import hashlib
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dinersim import runner
 from dinersim.backends.base import Decision, DecisionBackend, DecisionContext, TransportError
+from dinersim.backends.oracle import RuleOracle
 from dinersim.model import (
     BackendConfig,
     MealChoice,
     PunishmentLevel,
+    PunishmentParams,
     Strategy,
     census_of,
     paper_preset,
 )
 from dinersim.reporting import event_log_lines
 from dinersim.runner import (
+    MAX_JOBS,
     RunStatus,
     assign_locations,
     derive_streams,
@@ -23,7 +30,7 @@ from dinersim.runner import (
     run_simulation,
 )
 
-from conftest import make_config
+from conftest import ImpureOracle, make_config
 
 
 def oracle_preset(combination=1, punishment="6:1", seed=0):
@@ -132,6 +139,14 @@ class TestRunSimulation:
         assert a == run_id_for(oracle_preset(seed=1))
         assert a.endswith("-s1")
 
+    def test_run_id_tells_apart_equal_configs_that_serialise_apart(self):
+        floats = oracle_preset(punishment="3:1", seed=1)
+        ints = replace(floats, punishment=PunishmentParams(p=3, k=1))
+        assert floats == ints  # 3 == 3.0, but the documents read 3 and 3.0
+        assert run_id_for(floats) == "3327f64bcf-s1"
+        assert run_id_for(ints) == "89bbc554cd-s1"
+        assert run_id_for(floats) == "3327f64bcf-s1"
+
     def test_streams_are_independent(self):
         imitation_a, jitter_a = derive_streams(123)
         imitation_b, _ = derive_streams(123)
@@ -211,3 +226,112 @@ class TestRunReplications:
         assert summary.aborted == 1 and summary.completed == 2
         assert results[1].error is not None
         assert results[1].records == []  # aborted in iteration 1, nothing recorded
+
+
+# sha256 over the event-log lines of the oracle runs of the four paper
+# settings (both combinations at 3:1 and 6:1) for seeds 0-7, recorded
+# before group outcomes were memoised. Equal seeds must keep giving
+# byte-identical logs.
+GOLDEN_DIGEST = "00aa2f1acfb00b5bff35f4aa4fc865a64f71142acb327fc2d1dee6b9756bdd01"
+
+
+def test_oracle_event_logs_match_the_golden_digest():
+    backend = RuleOracle()
+    h = hashlib.sha256()
+    for combination, punishment in ((1, "3:1"), (1, "6:1"), (2, "3:1"), (2, "6:1")):
+        for seed in range(8):
+            result = run_simulation(oracle_preset(combination, punishment, seed), backend)
+            for line in event_log_lines(result):
+                h.update(line.encode("utf-8") + b"\n")
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
+class TestGroupMemoParity:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
+        combination=st.sampled_from([1, 2]),
+        punishment=st.sampled_from(["none", "3:1", "6:1"]),
+        jobs=st.sampled_from([1, 2]),
+    )
+    def test_memoised_oracle_matches_impure_oracle(self, seeds, combination, punishment, jobs):
+        # "none" leaves severity to the backend: the oracle refuses every
+        # order, so every run aborts, and nothing may be memoised.
+        config = paper_preset(combination, punishment, 0)
+        oracle = RuleOracle()
+        _, memoised = run_replications(config, oracle, seeds, jobs=jobs)
+        _, reference = run_replications(config, ImpureOracle(), seeds, jobs=jobs)
+        for got, want in zip(memoised, reference):
+            assert got.handle == want.handle and got.error == want.error
+            assert list(event_log_lines(got)) == list(event_log_lines(want))
+            assert got.final_agents == want.final_agents
+        if punishment == "none":
+            assert oracle.group_memo == {}
+
+    def test_shared_memo_under_thread_contention(self):
+        config = oracle_preset(2, "3:1")
+        seeds = list(range(24))
+        _, reference = run_replications(config, ImpureOracle(), seeds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, memoised = run_replications(config, RuleOracle(), seeds, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [log_text(r) for r in memoised] == [log_text(r) for r in reference]
+        assert [r.final_agents for r in memoised] == [r.final_agents for r in reference]
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestReplicationJobs:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+        return RecordingPool.sizes
+
+    @pytest.mark.parametrize(
+        "jobs, n_seeds, workers",
+        [(1, 3, None), (2, 1, None), (4, 3, 3), (3, 8, 3), (10**6, MAX_JOBS + 5, MAX_JOBS)],
+    )
+    def test_workers_capped_at_seeds_and_ceiling(self, pool_sizes, jobs, n_seeds, workers):
+        config = replace(oracle_preset(), iterations=0)
+        summary, _ = run_replications(config, RuleOracle(), list(range(n_seeds)), jobs=jobs)
+        assert len(summary.rows) == n_seeds
+        assert pool_sizes == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_replications(oracle_preset(), RuleOracle(), [0], jobs=jobs)
+
+    def test_batch_hashes_its_config_once(self, monkeypatch):
+        calls = []
+        config_to_dict = runner.config_to_dict
+
+        def counting(config):
+            calls.append(config.seed)
+            return config_to_dict(config)
+
+        monkeypatch.setattr(runner, "config_to_dict", counting)
+        config = replace(oracle_preset(), iterations=0)
+        summary, _ = run_replications(config, RuleOracle(), [3, 4, 5, 6])
+        assert len(calls) == 1
+        assert [row.run_id for row in summary.rows] == [f"e57babec8c-s{s}" for s in (3, 4, 5, 6)]
