@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, preset, replicate, eval-backend, report. Exit codes
-are stable: 0 success, 1 I/O failure, 2 invalid configuration or usage,
-3 decision backend failure.
+are stable: 0 success, 1 I/O failure, 2 invalid configuration, input file
+or usage, 3 decision backend failure.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from .model import (
     STRATEGY_ORDER,
     census_of,
     paper_preset,
+    seed_in_range,
     validate_config,
 )
 from .reporting import (
+    EventLogError,
     census_series,
     convergence_stats,
     load_event_log,
@@ -177,10 +179,37 @@ def cmd_preset(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def read_seed_list(path: str) -> list[int]:
+    """The seeds of a seed-list file, whitespace-separated, one per line.
+
+    Every seed is checked before any run starts: a token that is not an
+    integer, or a seed out of range, raises ``ConfigError`` naming its line.
+    """
+    seeds = []
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"seed list {path} is not UTF-8 text") from exc
+    for number, line in enumerate(text.splitlines(), start=1):
+        for token in line.split():
+            try:
+                seed = int(token)
+            except ValueError:
+                raise ConfigError(
+                    f"seed list {path}, line {number}: {token!r} is not an integer"
+                ) from None
+            if not seed_in_range(seed):
+                raise ConfigError(
+                    f"seed list {path}, line {number}: seed {seed} must fit in an "
+                    "unsigned 64-bit integer"
+                )
+            seeds.append(seed)
+    return seeds
+
+
 def cmd_replicate(args: argparse.Namespace) -> int:
     if args.seed_list is not None:
-        text = Path(args.seed_list).read_text(encoding="utf-8")
-        seeds = [int(line) for line in text.split() if line.strip()]
+        seeds = read_seed_list(args.seed_list)
     else:
         seeds = list(range(args.seeds))
     if not seeds:
@@ -251,7 +280,11 @@ def cmd_eval_backend(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    loaded = load_event_log(args.log)
+    try:
+        loaded = load_event_log(args.log)
+    except EventLogError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     initial = loaded.initial_census

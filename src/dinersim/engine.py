@@ -433,23 +433,31 @@ def apply_utilities(
     return utilities
 
 
-# Entries kept per backend memo. A group of n members has up to 5**n
-# (strategy, flag) seatings, so large groups must not grow it without bound.
+# Entries kept per backend memo. A group of n members has C(n + 4, 4)
+# multisets of (strategy, flag) types, so large groups must not grow it
+# without bound.
 GROUP_MEMO_LIMIT = 4096
+
+# A member's type: the (strategy, r1_punished) pair a pure backend decides on.
+_MemberType = tuple[Strategy, bool]
 
 
 class _MemoOutcome(NamedTuple):
-    """A pure backend's group outcome with agents as seat indices."""
+    """A pure backend's group outcome by member type, free of seat order.
 
-    choices: tuple[MealChoice, ...]
-    bill_total: float
-    meal_payoffs: tuple[float, ...]
-    events: tuple[tuple[int, int, PunishmentLevel, float, float], ...]
-    defectors: tuple[int, ...]
-    np1: tuple[int, ...]
-    np2: tuple[int, ...]
-    converted: tuple[int, ...]  # seats whose r1_punished flag this round set
-    utilities: tuple[float, ...]
+    Every seat of a type orders the same meal, holds the same role and gets
+    the same flag update. ``events`` lists, per punishment level in pipeline
+    order, each punisher type's target types with their (cost_to_punisher,
+    cost_to_target): every seat of the punisher type punished every seat of
+    the target type at that level.
+    """
+
+    choices: dict[_MemberType, MealChoice]
+    defectors: frozenset[_MemberType]
+    np1: frozenset[_MemberType]
+    np2: frozenset[_MemberType]
+    converted: frozenset[_MemberType]  # types whose r1_punished flag this round set
+    events: tuple[tuple[PunishmentLevel, dict[_MemberType, dict[_MemberType, tuple[float, float]]]], ...]
 
 
 def run_group_round(
@@ -465,123 +473,132 @@ def run_group_round(
 ) -> GroupRoundResult:
     """Run the full per-group pipeline for one iteration.
 
-    For a pure backend the outcome is memoised on the backend, keyed by the
-    seat-ordered (strategy, r1_punished) pairs of the group plus ``menu``,
-    ``params`` and ``error_policy``. A hit rebuilds an equal result for this
-    iteration and applies the same agent updates without asking the backend.
+    For a pure backend the outcome is memoised on the backend by member type,
+    keyed by the sorted multiset of the members' (strategy, r1_punished)
+    pairs plus ``menu``, ``params`` and ``error_policy``. A hit maps the
+    types onto the current seats without asking the backend, then settles
+    the bill and the utilities in the current seat order like a miss does:
+    float sums depend on their order, so a stored bill would be wrong for
+    another seating.
     """
     memo = backend.group_memo if backend.pure else None
+    outcome = None
     if memo is not None:
-        seating = tuple((a.strategy, a.r1_punished) for a in group)
-        key = (seating, menu, params, error_policy)
+        types = [(a.strategy, a.r1_punished) for a in group]
+        key = (tuple(sorted(types)), menu, params, error_policy)
         outcome = memo.get(key)
-        if outcome is not None:
-            return _replay(group, outcome, group_id=group_id, location=location, iteration=iteration)
-    orders = collect_orders(
-        group, menu, backend,
-        iteration=iteration, location=location, params=params, group_id=group_id,
-    )
-    meal_payoffs = settle_bill(orders, menu)
-    round1_events, defectors = punishment_round_1(
-        group, orders, backend, params,
-        iteration=iteration, location=location, error_policy=error_policy,
-    )
-    np1 = classify_non_punishers(group, defectors, round1_events)
-    round2_events, np2 = metanorm_round_2(
-        group, defectors, np1, backend, params,
-        orders=orders, round1_events=round1_events,
-        iteration=iteration, location=location, error_policy=error_policy,
-    )
-    events = tuple(round1_events + round2_events)
-    utilities = apply_utilities(group, meal_payoffs, events)
-    bill_total = sum(menu.cost(c) for c in orders.choices.values())
+    if outcome is None:
+        orders = collect_orders(
+            group, menu, backend,
+            iteration=iteration, location=location, params=params, group_id=group_id,
+        )
+        meal_payoffs = settle_bill(orders, menu)
+        round1_events, defectors = punishment_round_1(
+            group, orders, backend, params,
+            iteration=iteration, location=location, error_policy=error_policy,
+        )
+        np1 = classify_non_punishers(group, defectors, round1_events)
+        round2_events, np2 = metanorm_round_2(
+            group, defectors, np1, backend, params,
+            orders=orders, round1_events=round1_events,
+            iteration=iteration, location=location, error_policy=error_policy,
+        )
+        ledger = PunishmentLedger(
+            events=tuple(round1_events + round2_events), defectors=defectors, np1=np1, np2=np2
+        )
+    else:
+        orders, ledger = _replay(group, types, outcome, group_id=group_id, iteration=iteration)
+        meal_payoffs = settle_bill(orders, menu)
+    utilities = apply_utilities(group, meal_payoffs, ledger.events)
     result = GroupRoundResult(
         group_id=group_id,
         location=location,
         order_sheet=orders,
-        bill_total=bill_total,
+        bill_total=sum(menu.cost(c) for c in orders.choices.values()),
         meal_payoffs=meal_payoffs,
-        ledger=PunishmentLedger(
-            events=events, defectors=defectors, np1=np1, np2=np2
-        ),
+        ledger=ledger,
         iteration_utilities=utilities,
     )
     # Threads sharing the backend may both miss a key; they store equal outcomes.
-    if memo is not None and len(memo) < GROUP_MEMO_LIMIT:
-        memo[key] = _memo_outcome(group, seating, result)
+    if outcome is None and memo is not None and len(memo) < GROUP_MEMO_LIMIT:
+        memo[key] = _memo_outcome(group, types, result)
     return result
 
 
 def _memo_outcome(
     group: Sequence[AgentState],
-    seating: tuple[tuple[Strategy, bool], ...],
+    types: Sequence[_MemberType],
     result: GroupRoundResult,
 ) -> _MemoOutcome:
-    ids = [a.agent_id for a in group]
-    seat = {agent_id: i for i, agent_id in enumerate(ids)}
+    """Reduce a miss to its outcome by type; ``types`` are the pre-round ones.
+
+    Sound for a pure backend: decisions depend only on the actor's type, so
+    membership in every stage is decided by type, and within a stage the
+    observer types and the target types are disjoint.
+    """
+    type_of = {a.agent_id: t for a, t in zip(group, types)}
     ledger = result.ledger
-
-    def seats(agent_ids: frozenset[str]) -> tuple[int, ...]:
-        return tuple(seat[a] for a in agent_ids)
-
+    events: dict[PunishmentLevel, dict[_MemberType, dict[_MemberType, tuple[float, float]]]] = {}
+    for e in ledger.events:
+        targets = events.setdefault(e.level, {}).setdefault(type_of[e.punisher_id], {})
+        targets[type_of[e.target_id]] = (e.cost_to_punisher, e.cost_to_target)
     return _MemoOutcome(
-        choices=tuple(result.order_sheet.choices[a] for a in ids),
-        bill_total=result.bill_total,
-        meal_payoffs=tuple(result.meal_payoffs[a] for a in ids),
-        events=tuple(
-            (seat[e.punisher_id], seat[e.target_id], e.level, e.cost_to_punisher, e.cost_to_target)
-            for e in ledger.events
-        ),
-        defectors=seats(ledger.defectors),
-        np1=seats(ledger.np1),
-        np2=seats(ledger.np2),
-        converted=tuple(
-            i for i, (agent, (_, before)) in enumerate(zip(group, seating))
-            if agent.r1_punished != before
-        ),
-        utilities=tuple(result.iteration_utilities[a] for a in ids),
+        choices={type_of[a]: choice for a, choice in result.order_sheet.choices.items()},
+        defectors=frozenset(type_of[a] for a in ledger.defectors),
+        np1=frozenset(type_of[a] for a in ledger.np1),
+        np2=frozenset(type_of[a] for a in ledger.np2),
+        converted=frozenset(t for a, t in zip(group, types) if a.r1_punished != t[1]),
+        events=tuple(events.items()),
     )
 
 
 def _replay(
     group: Sequence[AgentState],
+    types: Sequence[_MemberType],
     outcome: _MemoOutcome,
     *,
     group_id: str,
-    location: str,
     iteration: int,
-) -> GroupRoundResult:
-    ids = [a.agent_id for a in group]
-    for i in outcome.converted:
-        group[i].r1_punished = True
-    for agent, utility in zip(group, outcome.utilities):
-        agent.iteration_utility = utility
-        agent.cumulative_utility += utility
-    events = tuple(
-        PunishmentEvent(
-            iteration=iteration,
-            punisher_id=ids[punisher],
-            target_id=ids[target],
-            level=level,
-            cost_to_punisher=cost_k,
-            cost_to_target=cost_p,
-        )
-        for punisher, target, level, cost_k, cost_p in outcome.events
+) -> tuple[OrderSheet, PunishmentLedger]:
+    """Map a memoised outcome onto the current seats and set the flags.
+
+    Events come in pipeline order: level, then punisher seat, then target
+    seat.
+    """
+    seats = [(a.agent_id, t) for a, t in zip(group, types)]
+    choices = outcome.choices
+    events = []
+    for level, punishers in outcome.events:
+        for punisher_id, punisher in seats:
+            targets = punishers.get(punisher)
+            if targets is None:
+                continue
+            for target_id, target in seats:
+                costs = targets.get(target)
+                if costs is None:
+                    continue
+                cost_k, cost_p = costs
+                events.append(
+                    PunishmentEvent(
+                        iteration=iteration,
+                        punisher_id=punisher_id,
+                        target_id=target_id,
+                        level=level,
+                        cost_to_punisher=cost_k,
+                        cost_to_target=cost_p,
+                    )
+                )
+    for agent, t in zip(group, types):
+        if t in outcome.converted:
+            agent.r1_punished = True
+    orders = OrderSheet(group_id=group_id, choices={a: choices[t] for a, t in seats})
+    ledger = PunishmentLedger(
+        events=tuple(events),
+        defectors=frozenset(a for a, t in seats if t in outcome.defectors),
+        np1=frozenset(a for a, t in seats if t in outcome.np1),
+        np2=frozenset(a for a, t in seats if t in outcome.np2),
     )
-    return GroupRoundResult(
-        group_id=group_id,
-        location=location,
-        order_sheet=OrderSheet(group_id=group_id, choices=dict(zip(ids, outcome.choices))),
-        bill_total=outcome.bill_total,
-        meal_payoffs=dict(zip(ids, outcome.meal_payoffs)),
-        ledger=PunishmentLedger(
-            events=events,
-            defectors=frozenset(ids[i] for i in outcome.defectors),
-            np1=frozenset(ids[i] for i in outcome.np1),
-            np2=frozenset(ids[i] for i in outcome.np2),
-        ),
-        iteration_utilities=dict(zip(ids, outcome.utilities)),
-    )
+    return orders, ledger
 
 
 def _join(names: Sequence[str]) -> str:

@@ -55,43 +55,45 @@ def imitation_step(
     """One synchronous imitation sweep over the whole population.
 
     Consumes exactly two draws per agent (role-model index, then the uniform
-    acceptance draw) so the stream is identical on replay. Adopting the R1
-    label always resets the punished flag: the label is copied, not the role
-    model's private history.
+    acceptance draw) so the stream is identical on replay; the role model is
+    the one :func:`select_role_model` would pick from the same draw. Agent
+    ids must be unique, as ``validate_config`` enforces: the role model is
+    chosen by position. Adopting the R1 label always resets the punished
+    flag: the label is copied, not the role model's private history.
     """
-    if len(population) < 2:
+    n = len(population)
+    if n < 2:
         raise PopulationTooSmall("imitation needs at least two agents")
-    ids = [a.agent_id for a in population]
-    payoff = {
-        a.agent_id: (
-            a.iteration_utility
-            if params.utility_basis is UtilityBasis.PER_ITERATION
-            else a.cumulative_utility
-        )
-        for a in population
-    }
-    pre_update = {a.agent_id: a.strategy for a in population}
+    if params.utility_basis is UtilityBasis.PER_ITERATION:
+        payoffs = [a.iteration_utility for a in population]
+    else:
+        payoffs = [a.cumulative_utility for a in population]
+    pre_update = [a.strategy for a in population]
+    beta = params.beta
+    integers, random = rng.integers, rng.random
 
     outcomes = []
     adoptions: list[tuple[AgentState, Strategy]] = []
-    for focal in population:
-        role_model_id = select_role_model(focal.agent_id, ids, rng)
-        diff = payoff[role_model_id] - payoff[focal.agent_id]
-        probability = fermi_probability(payoff[focal.agent_id], payoff[role_model_id], params.beta)
-        draw = float(rng.random())
+    for i, focal in enumerate(population):
+        # Uniform over the other n - 1 agents, as select_role_model draws it.
+        j = int(integers(n - 1))
+        j += j >= i
+        focal_payoff, model_payoff = payoffs[i], payoffs[j]
+        probability = fermi_probability(focal_payoff, model_payoff, beta)
+        draw = float(random())
         adopted = draw < probability
         outcomes.append(
             ImitationOutcome(
                 focal_id=focal.agent_id,
-                role_model_id=role_model_id,
-                payoff_diff=diff,
+                role_model_id=population[j].agent_id,
+                payoff_diff=model_payoff - focal_payoff,
                 probability=probability,
                 uniform_draw=draw,
                 adopted=adopted,
             )
         )
         if adopted:
-            adoptions.append((focal, pre_update[role_model_id]))
+            adoptions.append((focal, pre_update[j]))
 
     for agent, strategy in adoptions:
         agent.strategy = strategy

@@ -418,12 +418,17 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
     if config.backend.error_policy not in ("abort", "abstain"):
         violations.append(ConfigError(f"unknown error policy '{config.backend.error_policy}'"))
 
-    if not (0 <= config.seed < 2**64):
+    if not seed_in_range(config.seed):
         violations.append(ConfigError("seed must fit in an unsigned 64-bit integer"))
 
     if violations:
         raise ConfigValidationError(violations)
     return config
+
+
+def seed_in_range(seed: int) -> bool:
+    """Whether ``seed`` fits in an unsigned 64-bit integer, as a run's seed must."""
+    return 0 <= seed < 2**64
 
 
 def _duplicates(items: Iterable) -> set:

@@ -150,16 +150,62 @@ class LoadedRun:
         return {Strategy(k): v for k, v in self.header["initial_census"].items()}
 
 
+class EventLogError(ValueError):
+    """An event log that cannot be read back, with the file and line at fault."""
+
+    def __init__(self, path: str | Path, line: int, problem: str):
+        self.path = str(path)
+        self.line = line
+        super().__init__(f"event log {path}, line {line}: {problem}")
+
+
+def _problem(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"not JSON ({exc.msg})"
+    if isinstance(exc, KeyError):
+        return f"missing key {exc.args[0]!r}"
+    return str(exc) or type(exc).__name__
+
+
+def _check_header(header: dict) -> None:
+    if header["kind"] != "header":
+        raise ValueError("expected the header line first")
+    if header["schema"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported event log schema {header['schema']!r}")
+    if "run_id" not in header:
+        raise KeyError("run_id")
+    _census(header["initial_census"])
+
+
+def _census(counts: dict) -> dict[Strategy, int]:
+    census = {Strategy(k): v for k, v in counts.items()}
+    if not all(type(v) is int and v >= 0 for v in census.values()) or not sum(census.values()):
+        raise ValueError(f"census counts must be non-negative integers, not all 0: {counts}")
+    return census
+
+
 def load_event_log(path: str | Path) -> LoadedRun:
-    """Rebuild IterationRecords from a log file, losslessly."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Rebuild IterationRecords from a log file, losslessly.
+
+    Raises :class:`EventLogError` for a log it cannot read back: an empty
+    file, a line that is not UTF-8 JSON, a wrong header or schema, a missing
+    key, a bad value (such as a census that is not counts of agents), an
+    unknown kind, or an iteration cut off before its census line.
+    ``OSError`` still means the file could not be read at all.
+    """
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise EventLogError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
     if not lines:
-        raise ValueError(f"event log {path} is empty")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
-        raise ValueError(f"event log {path} does not start with a header line")
-    if header.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported event log schema {header.get('schema')!r}")
+        raise EventLogError(path, 1, "empty file, expected a header line")
+    malformed = (KeyError, TypeError, AttributeError, ValueError)
+    try:
+        header = json.loads(lines[0])
+        _check_header(header)
+    except malformed as exc:
+        raise EventLogError(path, 1, _problem(exc)) from exc
 
     by_iteration: dict[int, dict] = {}
 
@@ -169,48 +215,54 @@ def load_event_log(path: str | Path) -> LoadedRun:
             {"groups": [], "events": [], "utilities": {}, "imitation": [], "census": {}},
         )
 
-    for line in lines[1:]:
-        item = json.loads(line)
-        kind = item["kind"]
-        slot = bucket(item["iteration"])
-        if kind == "orders":
-            slot["groups"].append(
-                GroupRound(
-                    group_id=item["group"],
-                    location=item["location"],
-                    orders={a: MealChoice(c) for a, c in item["choices"].items()},
-                    bill_total=item["bill_total"],
-                    meal_payoffs=item["meal_payoffs"],
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            item = json.loads(line)
+            kind = item["kind"]
+            slot = bucket(item["iteration"])
+            if kind == "orders":
+                slot["groups"].append(
+                    GroupRound(
+                        group_id=item["group"],
+                        location=item["location"],
+                        orders={a: MealChoice(c) for a, c in item["choices"].items()},
+                        bill_total=item["bill_total"],
+                        meal_payoffs=item["meal_payoffs"],
+                    )
                 )
-            )
-        elif kind == "punishment":
-            slot["events"].append(
-                PunishmentEvent(
-                    iteration=item["iteration"],
-                    punisher_id=item["punisher"],
-                    target_id=item["target"],
-                    level=PunishmentLevel(item["level"]),
-                    cost_to_punisher=item["cost_to_punisher"],
-                    cost_to_target=item["cost_to_target"],
+            elif kind == "punishment":
+                slot["events"].append(
+                    PunishmentEvent(
+                        iteration=item["iteration"],
+                        punisher_id=item["punisher"],
+                        target_id=item["target"],
+                        level=PunishmentLevel(item["level"]),
+                        cost_to_punisher=item["cost_to_punisher"],
+                        cost_to_target=item["cost_to_target"],
+                    )
                 )
-            )
-        elif kind == "utilities":
-            slot["utilities"] = item["values"]
-        elif kind == "imitation":
-            slot["imitation"].append(
-                ImitationOutcome(
-                    focal_id=item["focal"],
-                    role_model_id=item["role_model"],
-                    payoff_diff=item["payoff_diff"],
-                    probability=item["probability"],
-                    uniform_draw=item["uniform_draw"],
-                    adopted=item["adopted"],
+            elif kind == "utilities":
+                slot["utilities"] = item["values"]
+            elif kind == "imitation":
+                slot["imitation"].append(
+                    ImitationOutcome(
+                        focal_id=item["focal"],
+                        role_model_id=item["role_model"],
+                        payoff_diff=item["payoff_diff"],
+                        probability=item["probability"],
+                        uniform_draw=item["uniform_draw"],
+                        adopted=item["adopted"],
+                    )
                 )
-            )
-        elif kind == "census":
-            slot["census"] = {Strategy(k): v for k, v in item["counts"].items()}
-        else:
-            raise ValueError(f"unknown event kind {kind!r} in {path}")
+            elif kind == "census":
+                slot["census"] = _census(item["counts"])
+            else:
+                raise ValueError(f"unknown event kind {kind!r}")
+        except malformed as exc:
+            raise EventLogError(path, number, _problem(exc)) from exc
+    for iteration, slot in by_iteration.items():
+        if not slot["census"]:
+            raise EventLogError(path, len(lines), f"iteration {iteration} has no census line")
 
     records = [
         IterationRecord(

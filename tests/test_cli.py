@@ -157,6 +157,21 @@ class TestReplicate:
         rows = (out / "batch_summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["3", "14", "159"]
 
+    @pytest.mark.parametrize("content, problem", [
+        (b"3\nabc\n", "line 2: 'abc' is not an integer"),
+        (b"3\n14\n-5\n", "line 3: seed -5 must fit"),
+        (b"3\n\xff\n", "not UTF-8 text"),
+    ])
+    def test_bad_seed_list_runs_nothing(self, tmp_path, capsys, content, problem):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_bytes(content)
+        out = tmp_path / "batch"
+        code = main(["replicate", "--combination", "1", "--punishment", "6:1",
+                     "--backend", "oracle", "--seed-list", str(seeds), "--out", str(out)])
+        assert code == 2
+        assert problem in capsys.readouterr().err
+        assert not any(path.is_dir() for path in out.glob("*"))
+
 
 class TestEvalBackend:
     def test_oracle_reports_perfect_accuracy(self, tmp_path, capsys):
@@ -249,6 +264,31 @@ class TestReport:
         assert main(["report", "--log", log, "--out", str(tmp_path / "default")]) == 0
         assert ">X</text>" in (tmp_path / "titled" / "trend.svg").read_text()
         assert (tmp_path / "default" / "trend.svg").read_text() == (out / "trend.svg").read_text()
+
+    HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "initial_census": {"M": 1}})
+
+    @pytest.mark.parametrize("content, where, problem", [
+        (b"", "line 1", "empty file"),
+        (HEADER.encode() + b"\n{not json\n", "line 2", "not JSON"),
+        (HEADER.replace('"schema": 1', '"schema": 9').encode(), "line 1", "schema 9"),
+        (HEADER.encode() + b'\n{"kind": "orders", "group": "g1"}\n', "line 2", "missing key 'iteration'"),
+        (HEADER.encode() + b'\n{"kind": "dessert", "iteration": 1}\n', "line 2", "unknown event kind 'dessert'"),
+        (HEADER.encode() + b"\n\xff\xfe\n", "line 2", "not UTF-8"),
+        (HEADER.replace('"M": 1', '"M": "x"').encode(), "line 1", "census counts"),
+        (HEADER.encode() + b'\n{"kind": "orders", "iteration": 1, "group": "g1", "location": "l", '
+         b'"choices": {"a1": "budget"}, "bill_total": 1.0, "meal_payoffs": {"a1": 0.5}}\n',
+         "line 2", "iteration 1 has no census line"),
+    ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
+            "bad-census", "truncated"])
+    def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
+        log = tmp_path / "events.jsonl"
+        log.write_bytes(content)
+        code = main(["report", "--log", str(log), "--out", str(tmp_path / "rebuilt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(log) in err and where in err and problem in err
+        assert not (tmp_path / "rebuilt").exists()
 
     def test_missing_log_is_io_error(self, tmp_path):
         code = main(["report", "--log", str(tmp_path / "absent.jsonl"),

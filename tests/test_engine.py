@@ -30,6 +30,7 @@ from dinersim.engine import (
 from dinersim.model import (
     DEFAULT_MENU,
     MealChoice,
+    MenuConfig,
     PunishmentLevel,
     PunishmentMode,
     PunishmentParams,
@@ -429,11 +430,11 @@ class TestDecideEach:
 
 
 class TestGroupMemo:
-    def round_at(self, backend, iteration, labels=("M", "P", "E", "R1"), params=P63):
+    def round_at(self, backend, iteration, labels=("M", "P", "E", "R1"), params=P63, menu=DEFAULT_MENU):
         group = make_group(list(labels))
         return group, run_group_round(
             group, group_id="g2", location="cafe", iteration=iteration,
-            menu=DEFAULT_MENU, params=params, backend=backend,
+            menu=menu, params=params, backend=backend,
         )
 
     def test_only_the_oracle_is_pure(self):
@@ -460,6 +461,37 @@ class TestGroupMemo:
         assert hit.ledger.events == tuple(replace(e, iteration=2) for e in miss.ledger.events)
         assert list(hit.order_sheet.choices) == list(reference.order_sheet.choices)
         assert list(hit.meal_payoffs) == list(reference.meal_payoffs)
+
+    @pytest.mark.parametrize("seatings", [
+        (("R1", "E", "E", "E"), ("E", "E", "E", "R1"), ("E", "R1", "E", "E")),
+        (("M", "P", "E", "R1"), ("R1", "E", "P", "M"), ("E", "M", "R1", "P")),
+        (("P", "R1", "P", "R1"), ("R1", "R1", "P", "P"), ("R1", "P", "R1", "P")),
+    ])
+    def test_replay_is_free_of_seat_order_and_float_order(self, oracle, monkeypatch, seatings):
+        # One-decimal costs: 0.7+0.1+0.1+0.1 != 0.1+0.1+0.1+0.7 in floats, so
+        # a replay must settle the bill and the utilities in its own seat order.
+        menu = MenuConfig(budget_cost=0.1, budget_value=0.2, premium_cost=0.7, premium_value=0.5)
+        params = PunishmentParams(p=0.3, k=0.1)
+        first, *rest = seatings
+        results = [self.round_at(oracle, 1, labels=first, params=params, menu=menu)[1]]
+
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("a memo hit must not ask the backend")
+
+        for iteration, labels in enumerate(rest, start=2):
+            monkeypatch.setattr(engine, "collect_orders", no_pipeline)
+            hit_group, hit = self.round_at(oracle, iteration, labels=labels, params=params, menu=menu)
+            monkeypatch.undo()
+            ref_group, reference = self.round_at(
+                ImpureOracle(), iteration, labels=labels, params=params, menu=menu
+            )
+            assert hit == reference  # bill_total, payoffs and events in pipeline order
+            assert list(hit.order_sheet.choices) == list(reference.order_sheet.choices)
+            assert list(hit.meal_payoffs.items()) == list(reference.meal_payoffs.items())
+            assert hit_group == ref_group  # r1_punished and both utilities
+            results.append(hit)
+        assert len(oracle.group_memo) == 1
+        assert len({r.bill_total for r in results}) > 1  # the float order mattered
 
     def test_backend_decided_mode_raises_on_every_call(self, oracle):
         params = PunishmentParams(mode=PunishmentMode.BACKEND_DECIDED)

@@ -13,7 +13,7 @@ from dinersim.imitation import (
     imitation_step,
     select_role_model,
 )
-from dinersim.model import ImitationParams, Strategy, UtilityBasis, census_of
+from dinersim.model import ImitationOutcome, ImitationParams, Strategy, UtilityBasis, census_of
 
 from conftest import make_group
 
@@ -190,3 +190,61 @@ class TestImitationStep:
 
         assert run(9) == run(9)
         assert run(9) != run(10)
+
+
+def reference_imitation_step(population, params, rng):
+    """The sweep spelled out from select_role_model and fermi_probability:
+    per agent, one role-model draw and then one acceptance draw."""
+    ids = [a.agent_id for a in population]
+    per_iteration = params.utility_basis is UtilityBasis.PER_ITERATION
+    payoff = {
+        a.agent_id: a.iteration_utility if per_iteration else a.cumulative_utility
+        for a in population
+    }
+    pre_update = {a.agent_id: a.strategy for a in population}
+    outcomes, adoptions = [], []
+    for focal in population:
+        model_id = select_role_model(focal.agent_id, ids, rng)
+        probability = fermi_probability(payoff[focal.agent_id], payoff[model_id], params.beta)
+        draw = float(rng.random())
+        outcomes.append(
+            ImitationOutcome(
+                focal_id=focal.agent_id,
+                role_model_id=model_id,
+                payoff_diff=payoff[model_id] - payoff[focal.agent_id],
+                probability=probability,
+                uniform_draw=draw,
+                adopted=draw < probability,
+            )
+        )
+        if draw < probability:
+            adoptions.append((focal, pre_update[model_id]))
+    for agent, strategy in adoptions:
+        agent.strategy = strategy
+        agent.r1_punished = False
+    return outcomes
+
+
+class TestImitationStreamParity:
+    @pytest.mark.parametrize("basis", list(UtilityBasis))
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_the_reference_draw_for_draw(self, n, basis):
+        params = ImitationParams(beta=0.8, utility_basis=basis)
+        adoptions = 0
+        for seed in (0, 3, 2**40 + 7):
+            setup = np.random.default_rng(seed)
+            labels = [str(setup.choice(["M", "P", "E", "R1"])) for _ in range(n)]
+            punished = {f"a{i}" for i in range(1, n + 1) if setup.random() < 0.5}
+            group, reference = make_group(labels, punished=punished), make_group(labels, punished=punished)
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):  # later sweeps start from adopted strategies and cleared flags
+                for a, b in zip(group, reference):
+                    a.iteration_utility = b.iteration_utility = float(setup.normal(0, 2))
+                    a.cumulative_utility = b.cumulative_utility = float(setup.normal(0, 6))
+                got = imitation_step(group, params, rng)
+                want = reference_imitation_step(reference, params, reference_rng)
+                assert got == want
+                assert group == reference  # strategies and r1_punished flags
+                adoptions += sum(o.adopted for o in got)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert adoptions  # the adoption branch ran

@@ -8,6 +8,7 @@ import pytest
 from dinersim.model import BackendConfig, Strategy, census_of, paper_preset
 from dinersim.reporting import (
     EmptySeries,
+    EventLogError,
     census_series,
     convergence_stats,
     event_log_lines,
@@ -45,6 +46,16 @@ class TestEventLog:
         assert loaded.records == preset_run.records
         assert loaded.initial_census == initial_census_of(preset_run)
         assert loaded.header["run_id"] == preset_run.handle.run_id
+
+    def test_unreadable_line_raises_event_log_error(self, preset_run, tmp_path):
+        path = write_event_log(preset_run, tmp_path / "events.jsonl")
+        lines = path.read_text().splitlines()
+        lines[5] = json.dumps({k: v for k, v in json.loads(lines[5]).items() if k != "iteration"})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            load_event_log(path)
+        assert isinstance(exc_info.value, EventLogError)
+        assert (exc_info.value.path, exc_info.value.line) == (str(path), 6)
 
     def test_empty_run_is_header_only(self, oracle, tmp_path):
         config = replace(oracle_preset(), iterations=0)

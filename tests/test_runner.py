@@ -11,8 +11,10 @@ from dinersim import runner
 from dinersim.backends.base import Decision, DecisionBackend, DecisionContext, TransportError
 from dinersim.backends.oracle import RuleOracle
 from dinersim.model import (
+    DEFAULT_MENU,
     BackendConfig,
     MealChoice,
+    MenuConfig,
     PunishmentLevel,
     PunishmentParams,
     Strategy,
@@ -246,6 +248,23 @@ def test_oracle_event_logs_match_the_golden_digest():
     assert h.hexdigest() == GOLDEN_DIGEST
 
 
+@st.composite
+def one_decimal_menus(draw):
+    """Menus with one-decimal costs, whose float sums depend on their order,
+    that are still a dilemma at group size 4."""
+    tenths = st.integers(1, 9)
+    budget_cost = draw(tenths)
+    premium_cost = draw(st.integers(budget_cost + 1, 10))
+    budget_value = draw(tenths) / 10
+    extra_value = (premium_cost - budget_cost) / 20  # between a quarter and all of the extra cost
+    return MenuConfig(
+        budget_cost=budget_cost / 10,
+        budget_value=budget_value,
+        premium_cost=premium_cost / 10,
+        premium_value=budget_value + extra_value,
+    )
+
+
 class TestGroupMemoParity:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -253,11 +272,12 @@ class TestGroupMemoParity:
         combination=st.sampled_from([1, 2]),
         punishment=st.sampled_from(["none", "3:1", "6:1"]),
         jobs=st.sampled_from([1, 2]),
+        menu=st.one_of(st.just(DEFAULT_MENU), one_decimal_menus()),
     )
-    def test_memoised_oracle_matches_impure_oracle(self, seeds, combination, punishment, jobs):
+    def test_memoised_oracle_matches_impure_oracle(self, seeds, combination, punishment, jobs, menu):
         # "none" leaves severity to the backend: the oracle refuses every
         # order, so every run aborts, and nothing may be memoised.
-        config = paper_preset(combination, punishment, 0)
+        config = replace(paper_preset(combination, punishment, 0), menu=menu)
         oracle = RuleOracle()
         _, memoised = run_replications(config, oracle, seeds, jobs=jobs)
         _, reference = run_replications(config, ImpureOracle(), seeds, jobs=jobs)
