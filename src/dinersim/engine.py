@@ -10,7 +10,6 @@ each (punisher, target) pair yields at most one event per iteration.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .backends.base import (
@@ -25,6 +24,7 @@ from .backends.base import (
 )
 from .model import (
     AgentState,
+    GroupRound,
     MealChoice,
     MenuConfig,
     PunishmentEvent,
@@ -36,37 +36,6 @@ from .model import (
 )
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class OrderSheet:
-    group_id: str
-    choices: dict[str, MealChoice]
-
-
-@dataclass(frozen=True)
-class PunishmentLedger:
-    """All punishment activity of one group-iteration.
-
-    ``np1`` holds round-1 non-punishers, ``np2`` meta-level non-punishers;
-    both exclude defectors, and np2 excludes np1.
-    """
-
-    events: tuple[PunishmentEvent, ...]
-    defectors: frozenset[str]
-    np1: frozenset[str]
-    np2: frozenset[str]
-
-
-@dataclass(frozen=True)
-class GroupRoundResult:
-    group_id: str
-    location: str
-    order_sheet: OrderSheet
-    bill_total: float
-    meal_payoffs: dict[str, float]
-    ledger: PunishmentLedger
-    iteration_utilities: dict[str, float]
 
 
 def menu_description(menu: MenuConfig) -> str:
@@ -120,9 +89,8 @@ def collect_orders(
     iteration: int,
     location: str,
     params: PunishmentParams,
-    group_id: str,
-) -> OrderSheet:
-    """Ask the backend for one meal choice per member.
+) -> dict[str, MealChoice]:
+    """Ask the backend for one meal choice per member, in seat order.
 
     Orders are simultaneous: nobody sees anyone else's choice. The engine
     never overrides a backend decision; backend failures propagate.
@@ -144,15 +112,15 @@ def collect_orders(
     for agent, ctx, decision in zip(group, contexts, decisions):
         check_decision(decision, ctx)
         choices[agent.agent_id] = MealChoice(decision.choice)
-    return OrderSheet(group_id=group_id, choices=choices)
+    return choices
 
 
-def settle_bill(orders: OrderSheet, menu: MenuConfig) -> dict[str, float]:
+def settle_bill(orders: dict[str, MealChoice], menu: MenuConfig) -> dict[str, float]:
     """Split the bill equally: payoff = own meal value minus equal share."""
-    n = len(orders.choices)
-    total = sum(menu.cost(choice) for choice in orders.choices.values())
+    n = len(orders)
+    total = sum(menu.cost(choice) for choice in orders.values())
     share = total / n
-    payoffs = {agent_id: menu.value(choice) - share for agent_id, choice in orders.choices.items()}
+    payoffs = {agent_id: menu.value(choice) - share for agent_id, choice in orders.items()}
     billed = share * n
     assert abs(billed - total) <= 1e-9 * max(1.0, abs(total)), "bill shares must cover the bill"
     return payoffs
@@ -197,7 +165,7 @@ def _event_costs(decision: Decision, params: PunishmentParams) -> tuple[float, f
 
 def punishment_round_1(
     group: Sequence[AgentState],
-    orders: OrderSheet,
+    orders: dict[str, MealChoice],
     backend: DecisionBackend,
     params: PunishmentParams,
     *,
@@ -212,14 +180,14 @@ def punishment_round_1(
     once this round. Observer/defector pairs run in canonical group order.
     """
     defectors = frozenset(
-        agent_id for agent_id, choice in orders.choices.items() if choice is MealChoice.PREMIUM
+        agent_id for agent_id, choice in orders.items() if choice is MealChoice.PREMIUM
     )
     by_id = {a.agent_id: a for a in group}
     visible = {
-        a.agent_id: f"ordered the {orders.choices[a.agent_id].value} meal" for a in group
+        a.agent_id: f"ordered the {orders[a.agent_id].value} meal" for a in group
     }
 
-    ordered_defectors = [agent_id for agent_id in orders.choices if agent_id in defectors]
+    ordered_defectors = [agent_id for agent_id in orders if agent_id in defectors]
     pairs = [
         (observer, by_id[defector_id])
         for observer in group
@@ -295,18 +263,18 @@ def metanorm_round_2(
     backend: DecisionBackend,
     params: PunishmentParams,
     *,
-    orders: OrderSheet,
+    orders: dict[str, MealChoice],
     round1_events: Sequence[PunishmentEvent],
     iteration: int,
     location: str,
     error_policy: str = "abort",
-) -> tuple[list[PunishmentEvent], frozenset[str]]:
+) -> list[PunishmentEvent]:
     """Round 2: punish non-punishers (2a), then those who spared them (2b).
 
     The metanorm stops here; there is no deeper recursion.
     """
     if not np1:
-        return [], frozenset()
+        return []
     by_id = {a.agent_id: a for a in group}
     names = {a.agent_id: a.name for a in group}
     group_order = [a.agent_id for a in group]
@@ -353,7 +321,7 @@ def metanorm_round_2(
 
     def action_summary(extra_events: Sequence[PunishmentEvent]) -> dict[str, str]:
         summary = {
-            a.agent_id: f"ordered the {orders.choices[a.agent_id].value} meal" for a in group
+            a.agent_id: f"ordered the {orders[a.agent_id].value} meal" for a in group
         }
         for e in list(round1_events) + list(extra_events):
             summary[e.punisher_id] += f"; scolded {names[e.target_id]}"
@@ -389,7 +357,7 @@ def metanorm_round_2(
         if any((a.agent_id, t) not in punished_2a for t in np1)
     )
     if not np2:
-        return events_2a, np2
+        return events_2a
     spared = {
         a_id: sorted(
             names[t] for t in np1 if (a_id, t) not in punished_2a
@@ -410,7 +378,7 @@ def metanorm_round_2(
         action_summary(events_2a),
         evidence_2b,
     )
-    return events_2a + events_2b, np2
+    return events_2a + events_2b
 
 
 def apply_utilities(
@@ -445,17 +413,14 @@ _MemberType = tuple[Strategy, bool]
 class _MemoOutcome(NamedTuple):
     """A pure backend's group outcome by member type, free of seat order.
 
-    Every seat of a type orders the same meal, holds the same role and gets
-    the same flag update. ``events`` lists, per punishment level in pipeline
-    order, each punisher type's target types with their (cost_to_punisher,
-    cost_to_target): every seat of the punisher type punished every seat of
-    the target type at that level.
+    Every seat of a type orders the same meal and gets the same flag update.
+    ``events`` lists, per punishment level in pipeline order, each punisher
+    type's target types with their (cost_to_punisher, cost_to_target): every
+    seat of the punisher type punished every seat of the target type at that
+    level.
     """
 
     choices: dict[_MemberType, MealChoice]
-    defectors: frozenset[_MemberType]
-    np1: frozenset[_MemberType]
-    np2: frozenset[_MemberType]
     converted: frozenset[_MemberType]  # types whose r1_punished flag this round set
     events: tuple[tuple[PunishmentLevel, dict[_MemberType, dict[_MemberType, tuple[float, float]]]], ...]
 
@@ -470,7 +435,7 @@ def run_group_round(
     params: PunishmentParams,
     backend: DecisionBackend,
     error_policy: str = "abort",
-) -> GroupRoundResult:
+) -> GroupRound:
     """Run the full per-group pipeline for one iteration.
 
     For a pure backend the outcome is memoised on the backend by member type,
@@ -489,8 +454,7 @@ def run_group_round(
         outcome = memo.get(key)
     if outcome is None:
         orders = collect_orders(
-            group, menu, backend,
-            iteration=iteration, location=location, params=params, group_id=group_id,
+            group, menu, backend, iteration=iteration, location=location, params=params,
         )
         meal_payoffs = settle_bill(orders, menu)
         round1_events, defectors = punishment_round_1(
@@ -498,26 +462,23 @@ def run_group_round(
             iteration=iteration, location=location, error_policy=error_policy,
         )
         np1 = classify_non_punishers(group, defectors, round1_events)
-        round2_events, np2 = metanorm_round_2(
+        round2_events = metanorm_round_2(
             group, defectors, np1, backend, params,
             orders=orders, round1_events=round1_events,
             iteration=iteration, location=location, error_policy=error_policy,
         )
-        ledger = PunishmentLedger(
-            events=tuple(round1_events + round2_events), defectors=defectors, np1=np1, np2=np2
-        )
+        events = tuple(round1_events + round2_events)
     else:
-        orders, ledger = _replay(group, types, outcome, group_id=group_id, iteration=iteration)
+        orders, events = _replay(group, types, outcome, iteration=iteration)
         meal_payoffs = settle_bill(orders, menu)
-    utilities = apply_utilities(group, meal_payoffs, ledger.events)
-    result = GroupRoundResult(
+    result = GroupRound(
         group_id=group_id,
         location=location,
-        order_sheet=orders,
-        bill_total=sum(menu.cost(c) for c in orders.choices.values()),
+        orders=orders,
+        bill_total=sum(menu.cost(c) for c in orders.values()),
         meal_payoffs=meal_payoffs,
-        ledger=ledger,
-        iteration_utilities=utilities,
+        punishment_events=events,
+        iteration_utilities=apply_utilities(group, meal_payoffs, events),
     )
     # Threads sharing the backend may both miss a key; they store equal outcomes.
     if outcome is None and memo is not None and len(memo) < GROUP_MEMO_LIMIT:
@@ -528,7 +489,7 @@ def run_group_round(
 def _memo_outcome(
     group: Sequence[AgentState],
     types: Sequence[_MemberType],
-    result: GroupRoundResult,
+    result: GroupRound,
 ) -> _MemoOutcome:
     """Reduce a miss to its outcome by type; ``types`` are the pre-round ones.
 
@@ -537,16 +498,12 @@ def _memo_outcome(
     observer types and the target types are disjoint.
     """
     type_of = {a.agent_id: t for a, t in zip(group, types)}
-    ledger = result.ledger
     events: dict[PunishmentLevel, dict[_MemberType, dict[_MemberType, tuple[float, float]]]] = {}
-    for e in ledger.events:
+    for e in result.punishment_events:
         targets = events.setdefault(e.level, {}).setdefault(type_of[e.punisher_id], {})
         targets[type_of[e.target_id]] = (e.cost_to_punisher, e.cost_to_target)
     return _MemoOutcome(
-        choices={type_of[a]: choice for a, choice in result.order_sheet.choices.items()},
-        defectors=frozenset(type_of[a] for a in ledger.defectors),
-        np1=frozenset(type_of[a] for a in ledger.np1),
-        np2=frozenset(type_of[a] for a in ledger.np2),
+        choices={type_of[a]: choice for a, choice in result.orders.items()},
         converted=frozenset(t for a, t in zip(group, types) if a.r1_punished != t[1]),
         events=tuple(events.items()),
     )
@@ -557,16 +514,14 @@ def _replay(
     types: Sequence[_MemberType],
     outcome: _MemoOutcome,
     *,
-    group_id: str,
     iteration: int,
-) -> tuple[OrderSheet, PunishmentLedger]:
+) -> tuple[dict[str, MealChoice], tuple[PunishmentEvent, ...]]:
     """Map a memoised outcome onto the current seats and set the flags.
 
-    Events come in pipeline order: level, then punisher seat, then target
-    seat.
+    Returns the orders in seat order and the events in pipeline order:
+    level, then punisher seat, then target seat.
     """
     seats = [(a.agent_id, t) for a, t in zip(group, types)]
-    choices = outcome.choices
     events = []
     for level, punishers in outcome.events:
         for punisher_id, punisher in seats:
@@ -591,14 +546,7 @@ def _replay(
     for agent, t in zip(group, types):
         if t in outcome.converted:
             agent.r1_punished = True
-    orders = OrderSheet(group_id=group_id, choices={a: choices[t] for a, t in seats})
-    ledger = PunishmentLedger(
-        events=tuple(events),
-        defectors=frozenset(a for a, t in seats if t in outcome.defectors),
-        np1=frozenset(a for a, t in seats if t in outcome.np1),
-        np2=frozenset(a for a, t in seats if t in outcome.np2),
-    )
-    return orders, ledger
+    return {a: outcome.choices[t] for a, t in seats}, tuple(events)
 
 
 def _join(names: Sequence[str]) -> str:

@@ -244,23 +244,37 @@ class ImitationOutcome:
 
 @dataclass(frozen=True)
 class GroupRound:
-    """One group's dilemma outcome within a single iteration."""
+    """One group's dilemma outcome within a single iteration.
+
+    ``orders``, ``meal_payoffs`` and ``iteration_utilities`` are in seat
+    order; ``punishment_events`` are in pipeline order.
+    """
 
     group_id: str
     location: str
     orders: dict[str, MealChoice]
     bill_total: float
     meal_payoffs: dict[str, float]
+    punishment_events: tuple[PunishmentEvent, ...]
+    iteration_utilities: dict[str, float]
 
 
 @dataclass(frozen=True)
 class IterationRecord:
     iteration: int
     groups: tuple[GroupRound, ...]
-    punishment_events: tuple[PunishmentEvent, ...]
-    iteration_utilities: dict[str, float]
     imitation_outcomes: tuple[ImitationOutcome, ...]
     strategy_census: dict[Strategy, int]
+
+    @property
+    def punishment_events(self) -> tuple[PunishmentEvent, ...]:
+        """Every group's events, in group order."""
+        return tuple(e for g in self.groups for e in g.punishment_events)
+
+    @property
+    def iteration_utilities(self) -> dict[str, float]:
+        """Every group's utilities, in group order."""
+        return {a: u for g in self.groups for a, u in g.iteration_utilities.items()}
 
 
 def census_of(strategies: Iterable[Strategy]) -> dict[Strategy, int]:

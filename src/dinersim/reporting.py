@@ -187,11 +187,15 @@ def _census(counts: dict) -> dict[Strategy, int]:
 def load_event_log(path: str | Path) -> LoadedRun:
     """Rebuild IterationRecords from a log file, losslessly.
 
-    Raises :class:`EventLogError` for a log it cannot read back: an empty
-    file, a line that is not UTF-8 JSON, a wrong header or schema, a missing
-    key, a bad value (such as a census that is not counts of agents), an
-    unknown kind, or an iteration cut off before its census line.
-    ``OSError`` still means the file could not be read at all.
+    Each punishment line goes to the group its punisher ordered in, and the
+    utilities line is split by each group's orders. Raises
+    :class:`EventLogError` for a log it cannot read back: an empty file, a
+    line that is not UTF-8 JSON, a wrong header or schema, a missing key, a
+    bad value (such as a census that is not counts of agents), an unknown
+    kind, an agent ordering in two groups of one iteration, a punisher and
+    target who did not order in one group, a utilities line whose keys
+    differ from the iteration's orders, or an iteration cut off before its
+    census line. ``OSError`` still means the file could not be read at all.
     """
     data = Path(path).read_bytes()
     try:
@@ -207,42 +211,63 @@ def load_event_log(path: str | Path) -> LoadedRun:
     except malformed as exc:
         raise EventLogError(path, 1, _problem(exc)) from exc
 
+    # Per iteration: GroupRound fields per group (events still a list), each
+    # agent's group, and whether the utilities line has been read.
     by_iteration: dict[int, dict] = {}
 
     def bucket(iteration: int) -> dict:
         return by_iteration.setdefault(
             iteration,
-            {"groups": [], "events": [], "utilities": {}, "imitation": [], "census": {}},
+            {"groups": [], "group_of": {}, "utilities_read": False, "imitation": [], "census": {}},
         )
 
     for number, line in enumerate(lines[1:], start=2):
         try:
             item = json.loads(line)
             kind = item["kind"]
-            slot = bucket(item["iteration"])
+            iteration = item["iteration"]
+            slot = bucket(iteration)
+            group_of = slot["group_of"]
             if kind == "orders":
-                slot["groups"].append(
-                    GroupRound(
-                        group_id=item["group"],
-                        location=item["location"],
-                        orders={a: MealChoice(c) for a, c in item["choices"].items()},
-                        bill_total=item["bill_total"],
-                        meal_payoffs=item["meal_payoffs"],
-                    )
-                )
+                if slot["utilities_read"]:
+                    raise ValueError(f"orders after the utilities line of iteration {iteration}")
+                group = {
+                    "group_id": item["group"],
+                    "location": item["location"],
+                    "orders": {a: MealChoice(c) for a, c in item["choices"].items()},
+                    "bill_total": item["bill_total"],
+                    "meal_payoffs": item["meal_payoffs"],
+                    "punishment_events": [],
+                    "iteration_utilities": {},
+                }
+                for agent_id in group["orders"]:
+                    if agent_id in group_of:
+                        raise ValueError(f"agent {agent_id!r} orders in two groups of iteration {iteration}")
+                    group_of[agent_id] = group
+                slot["groups"].append(group)
             elif kind == "punishment":
-                slot["events"].append(
-                    PunishmentEvent(
-                        iteration=item["iteration"],
-                        punisher_id=item["punisher"],
-                        target_id=item["target"],
-                        level=PunishmentLevel(item["level"]),
-                        cost_to_punisher=item["cost_to_punisher"],
-                        cost_to_target=item["cost_to_target"],
-                    )
+                event = PunishmentEvent(
+                    iteration=iteration,
+                    punisher_id=item["punisher"],
+                    target_id=item["target"],
+                    level=PunishmentLevel(item["level"]),
+                    cost_to_punisher=item["cost_to_punisher"],
+                    cost_to_target=item["cost_to_target"],
                 )
+                group = group_of.get(event.punisher_id)
+                if group is None or group_of.get(event.target_id) is not group:
+                    raise ValueError(
+                        f"punisher {event.punisher_id!r} and target {event.target_id!r} "
+                        f"did not order in one group of iteration {iteration}"
+                    )
+                group["punishment_events"].append(event)
             elif kind == "utilities":
-                slot["utilities"] = item["values"]
+                values = item["values"]
+                if values.keys() != group_of.keys():
+                    raise ValueError(f"utilities keys differ from the orders of iteration {iteration}")
+                for group in slot["groups"]:
+                    group["iteration_utilities"] = {a: values[a] for a in group["orders"]}
+                slot["utilities_read"] = True
             elif kind == "imitation":
                 slot["imitation"].append(
                     ImitationOutcome(
@@ -267,9 +292,10 @@ def load_event_log(path: str | Path) -> LoadedRun:
     records = [
         IterationRecord(
             iteration=iteration,
-            groups=tuple(slot["groups"]),
-            punishment_events=tuple(slot["events"]),
-            iteration_utilities=slot["utilities"],
+            groups=tuple(
+                GroupRound(**{**group, "punishment_events": tuple(group["punishment_events"])})
+                for group in slot["groups"]
+            ),
             imitation_outcomes=tuple(slot["imitation"]),
             strategy_census=slot["census"],
         )

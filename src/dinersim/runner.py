@@ -27,7 +27,6 @@ from .engine import run_group_round
 from .imitation import imitation_step
 from .model import (
     AgentState,
-    GroupRound,
     IterationRecord,
     SimulationConfig,
     Strategy,
@@ -167,22 +166,7 @@ def run_simulation(
         records.append(
             IterationRecord(
                 iteration=iteration,
-                groups=tuple(
-                    GroupRound(
-                        group_id=r.group_id,
-                        location=r.location,
-                        orders=dict(r.order_sheet.choices),
-                        bill_total=r.bill_total,
-                        meal_payoffs=dict(r.meal_payoffs),
-                    )
-                    for r in group_rounds
-                ),
-                punishment_events=tuple(e for r in group_rounds for e in r.ledger.events),
-                iteration_utilities={
-                    agent_id: utility
-                    for r in group_rounds
-                    for agent_id, utility in r.iteration_utilities.items()
-                },
+                groups=tuple(group_rounds),
                 imitation_outcomes=tuple(outcomes),
                 strategy_census=census,
             )

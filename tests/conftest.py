@@ -14,8 +14,11 @@ from dinersim.model import (
     AgentState,
     BackendConfig,
     DEFAULT_MENU,
+    GroupRound,
     GroupSpec,
     ImitationParams,
+    MealChoice,
+    PunishmentLevel,
     PunishmentMode,
     PunishmentParams,
     SimulationConfig,
@@ -46,6 +49,27 @@ def make_group(labels: list[str], prefix: str = "a", punished: set[str] | None =
             )
         )
     return states
+
+
+def roles(result: GroupRound) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """(defectors, round-1 non-punishers, meta-non-punishers), read back from
+    a round's orders and punishment events.
+
+    A defector ordered premium. A round-1 non-punisher is a non-defector who
+    left some defector unpunished; a meta-non-punisher is anyone else who
+    left some round-1 non-punisher unpunished.
+    """
+    done = {(e.punisher_id, e.target_id, e.level) for e in result.punishment_events}
+
+    def sparing(level: PunishmentLevel, targets: frozenset[str], outside: frozenset[str]) -> frozenset[str]:
+        return frozenset(
+            a for a in result.orders
+            if a not in outside and any((a, t, level) not in done for t in targets)
+        )
+
+    defectors = frozenset(a for a, c in result.orders.items() if c is MealChoice.PREMIUM)
+    np1 = sparing(PunishmentLevel.DEFECTION, defectors, defectors)
+    return defectors, np1, sparing(PunishmentLevel.NON_PUNISHER, np1, defectors | np1)
 
 
 def make_config(

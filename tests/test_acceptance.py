@@ -78,14 +78,14 @@ def test_criterion_1_metanorm_worked_example():
             group, group_id="g1", location="pub", iteration=1,
             menu=DEFAULT_MENU, params=PunishmentParams(p=6.0, k=1.0), backend=ORACLE,
         )
-        events = {(e.punisher_id, e.target_id, e.level.value) for e in result.ledger.events}
+        events = {(e.punisher_id, e.target_id, e.level.value) for e in result.punishment_events}
         assert events == {
             ("a1", "a4", "defection"),
             ("a2", "a4", "defection"),
             ("a1", "a3", "non_punisher"),
             ("a1", "a2", "meta_non_punisher"),
         }
-        assert len(result.ledger.events) == 4
+        assert len(result.punishment_events) == 4
         expected = {"a1": -6.0, "a2": -10.0, "a3": -9.0, "a4": -5.0}
         assert result.iteration_utilities == expected
         # and the independent enumerator agrees with the frozen values

@@ -244,6 +244,14 @@ class TestEvalBackend:
         assert code == 3
 
 
+def orders_line(group: str, *agents: str) -> bytes:
+    return json.dumps({
+        "kind": "orders", "iteration": 1, "group": group, "location": "l",
+        "choices": {a: "budget" for a in agents}, "bill_total": 1.0,
+        "meal_payoffs": {a: 0.5 for a in agents},
+    }).encode() + b"\n"
+
+
 class TestReport:
     def test_rebuilds_outputs_from_log(self, oracle_config_path, tmp_path):
         out = tmp_path / "out"
@@ -266,6 +274,8 @@ class TestReport:
         assert (tmp_path / "default" / "trend.svg").read_text() == (out / "trend.svg").read_text()
 
     HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "initial_census": {"M": 1}})
+    SCOLD = (b'{"kind": "punishment", "iteration": 1, "punisher": "a1", "target": "%s", '
+             b'"level": "defection", "cost_to_punisher": 1.0, "cost_to_target": 6.0}\n')
 
     @pytest.mark.parametrize("content, where, problem", [
         (b"", "line 1", "empty file"),
@@ -278,8 +288,21 @@ class TestReport:
         (HEADER.encode() + b'\n{"kind": "orders", "iteration": 1, "group": "g1", "location": "l", '
          b'"choices": {"a1": "budget"}, "bill_total": 1.0, "meal_payoffs": {"a1": 0.5}}\n',
          "line 2", "iteration 1 has no census line"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a2") + SCOLD % b"a2",
+         "line 3", "punisher 'a1' and target 'a2' did not order in one group of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + orders_line("g2", "a2") + SCOLD % b"a2",
+         "line 4", "punisher 'a1' and target 'a2' did not order in one group of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + orders_line("g2", "a2", "a1"),
+         "line 3", "agent 'a1' orders in two groups of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2")
+         + b'{"kind": "utilities", "iteration": 1, "values": {"a1": 0.5}}\n',
+         "line 3", "utilities keys differ from the orders of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1")
+         + b'{"kind": "utilities", "iteration": 1, "values": {"a1": 0.5}}\n' + orders_line("g2", "a2"),
+         "line 4", "orders after the utilities line of iteration 1"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
-            "bad-census", "truncated"])
+            "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
+            "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)

@@ -18,7 +18,6 @@ from dinersim.backends.base import (
 from dinersim.backends.llm import LlmBackend
 from dinersim.backends.oracle import RuleOracle, oracle_decide
 from dinersim.engine import (
-    OrderSheet,
     apply_utilities,
     classify_non_punishers,
     collect_orders,
@@ -37,7 +36,7 @@ from dinersim.model import (
     Strategy,
 )
 
-from conftest import ImpureOracle, ScriptedOrdersBackend, make_group
+from conftest import ImpureOracle, ScriptedOrdersBackend, make_group, roles
 from enumerator import enumerate_utilities
 
 P63 = PunishmentParams(p=6.0, k=1.0)
@@ -66,50 +65,47 @@ def run_round(labels, params=P63, punished=None, backend=None, orders=None):
 class TestCollectOrders:
     def test_cooperating_strategies_order_budget(self, oracle):
         group = make_group(["M", "P", "E"])
-        sheet = collect_orders(
+        orders = collect_orders(
             group, DEFAULT_MENU, oracle,
-            iteration=1, location="pub", params=P63, group_id="g1",
+            iteration=1, location="pub", params=P63,
         )
-        assert all(choice is MealChoice.BUDGET for choice in sheet.choices.values())
+        assert all(choice is MealChoice.BUDGET for choice in orders.values())
 
     def test_fresh_r1_orders_premium(self, oracle):
         group = make_group(["R1"] + ["E"])
-        sheet = collect_orders(
+        orders = collect_orders(
             group, DEFAULT_MENU, oracle,
-            iteration=1, location="pub", params=P63, group_id="g1",
+            iteration=1, location="pub", params=P63,
         )
-        assert sheet.choices["a1"] is MealChoice.PREMIUM
+        assert orders["a1"] is MealChoice.PREMIUM
 
     def test_converted_r1_orders_budget(self, oracle):
         group = make_group(["R1", "E"], punished={"a1"})
-        sheet = collect_orders(
+        orders = collect_orders(
             group, DEFAULT_MENU, oracle,
-            iteration=1, location="pub", params=P63, group_id="g1",
+            iteration=1, location="pub", params=P63,
         )
-        assert sheet.choices["a1"] is MealChoice.BUDGET
+        assert orders["a1"] is MealChoice.BUDGET
 
 
 class TestSettleBill:
     def test_all_budget(self):
-        sheet = OrderSheet("g1", {f"a{i}": MealChoice.BUDGET for i in range(1, 5)})
-        payoffs = settle_bill(sheet, DEFAULT_MENU)
+        payoffs = settle_bill({f"a{i}": MealChoice.BUDGET for i in range(1, 5)}, DEFAULT_MENU)
         assert all(value == 2.0 for value in payoffs.values())
 
     def test_one_premium_three_budget(self):
         choices = {"a1": MealChoice.PREMIUM} | {f"a{i}": MealChoice.BUDGET for i in range(2, 5)}
-        payoffs = settle_bill(OrderSheet("g1", choices), DEFAULT_MENU)
+        payoffs = settle_bill(choices, DEFAULT_MENU)
         assert payoffs["a1"] == 7.0
         assert all(payoffs[f"a{i}"] == -3.0 for i in range(2, 5))
 
     def test_all_premium(self):
-        sheet = OrderSheet("g1", {f"a{i}": MealChoice.PREMIUM for i in range(1, 5)})
-        payoffs = settle_bill(sheet, DEFAULT_MENU)
+        payoffs = settle_bill({f"a{i}": MealChoice.PREMIUM for i in range(1, 5)}, DEFAULT_MENU)
         assert all(value == -8.0 for value in payoffs.values())
 
     def test_payment_conservation(self):
         for orders in product([MealChoice.BUDGET, MealChoice.PREMIUM], repeat=4):
-            sheet = OrderSheet("g1", {f"a{i}": c for i, c in enumerate(orders, 1)})
-            payoffs = settle_bill(sheet, DEFAULT_MENU)
+            payoffs = settle_bill({f"a{i}": c for i, c in enumerate(orders, 1)}, DEFAULT_MENU)
             total_value = sum(DEFAULT_MENU.value(c) for c in orders)
             total_cost = sum(DEFAULT_MENU.cost(c) for c in orders)
             assert sum(payoffs.values()) == pytest.approx(total_value - total_cost, abs=1e-12)
@@ -118,10 +114,10 @@ class TestSettleBill:
 class TestPunishmentRound1:
     def test_punishers_punish_fresh_r1(self, oracle):
         group = make_group(["M", "P", "E", "R1"])
-        sheet = collect_orders(group, DEFAULT_MENU, oracle,
-                               iteration=1, location="pub", params=P63, group_id="g1")
+        orders = collect_orders(group, DEFAULT_MENU, oracle,
+                               iteration=1, location="pub", params=P63)
         events, defectors = punishment_round_1(
-            group, sheet, oracle, P63, iteration=1, location="pub"
+            group, orders, oracle, P63, iteration=1, location="pub"
         )
         assert defectors == {"a4"}
         assert {(e.punisher_id, e.target_id) for e in events} == {("a1", "a4"), ("a2", "a4")}
@@ -130,19 +126,19 @@ class TestPunishmentRound1:
 
     def test_no_defectors_no_events(self, oracle):
         group = make_group(["M", "P", "E", "E"])
-        sheet = collect_orders(group, DEFAULT_MENU, oracle,
-                               iteration=1, location="pub", params=P63, group_id="g1")
+        orders = collect_orders(group, DEFAULT_MENU, oracle,
+                               iteration=1, location="pub", params=P63)
         events, defectors = punishment_round_1(
-            group, sheet, oracle, P63, iteration=1, location="pub"
+            group, orders, oracle, P63, iteration=1, location="pub"
         )
         assert events == [] and defectors == frozenset()
 
     def test_no_punishing_strategies_leaves_flags_unset(self, oracle):
         group = make_group(["E", "E", "R1", "R1"])
-        sheet = collect_orders(group, DEFAULT_MENU, oracle,
-                               iteration=1, location="pub", params=P63, group_id="g1")
+        orders = collect_orders(group, DEFAULT_MENU, oracle,
+                               iteration=1, location="pub", params=P63)
         events, defectors = punishment_round_1(
-            group, sheet, oracle, P63, iteration=1, location="pub"
+            group, orders, oracle, P63, iteration=1, location="pub"
         )
         assert events == []
         assert defectors == {"a3", "a4"}
@@ -152,7 +148,7 @@ class TestPunishmentRound1:
 class TestClassifyNonPunishers:
     def test_easygoing_is_nonpunisher(self, oracle):
         group, result = run_round(["M", "P", "E", "R1"])
-        assert result.ledger.np1 == {"a3"}
+        assert roles(result)[1] == {"a3"}
 
     def test_empty_without_defection(self):
         group = make_group(["M", "P", "E", "E"])
@@ -161,15 +157,16 @@ class TestClassifyNonPunishers:
     def test_converted_r1_counts_as_nonpunisher(self, oracle):
         # a3 is a converted R1 (cooperating, never punishes); a4 defects.
         group, result = run_round(["M", "E", "R1", "R1"], punished={"a3"})
-        assert result.ledger.defectors == {"a4"}
-        assert result.ledger.np1 == {"a2", "a3"}
+        defectors, np1, _ = roles(result)
+        assert defectors == {"a4"}
+        assert np1 == {"a2", "a3"}
 
 
 class TestMetanormRound2:
     def test_worked_example_events(self):
         group, result = run_round(["M", "P", "E", "R1"])
         by_level = {
-            (e.punisher_id, e.target_id, e.level.value) for e in result.ledger.events
+            (e.punisher_id, e.target_id, e.level.value) for e in result.punishment_events
         }
         assert by_level == {
             ("a1", "a4", "defection"),
@@ -177,40 +174,41 @@ class TestMetanormRound2:
             ("a1", "a3", "non_punisher"),
             ("a1", "a2", "meta_non_punisher"),
         }
-        assert result.ledger.np1 == {"a3"}
-        assert result.ledger.np2 == {"a2"}
+        assert roles(result)[1:] == ({"a3"}, {"a2"})
 
     def test_no_round_two_without_np1(self, oracle):
         group = make_group(["M", "P"])
-        events, np2 = metanorm_round_2(
+        events = metanorm_round_2(
             group, frozenset(), frozenset(), oracle, P63,
-            orders=OrderSheet("g1", {"a1": MealChoice.BUDGET, "a2": MealChoice.BUDGET}),
+            orders={"a1": MealChoice.BUDGET, "a2": MealChoice.BUDGET},
             round1_events=[], iteration=1, location="pub",
         )
-        assert events == [] and np2 == frozenset()
+        assert events == []
 
     def test_full_punishment_means_empty_round_two(self):
         group, result = run_round(["M", "M", "P", "R1"])
-        assert result.ledger.np1 == frozenset()
-        assert result.ledger.np2 == frozenset()
-        levels = {e.level for e in result.ledger.events}
+        assert roles(result)[1:] == (frozenset(), frozenset())
+        levels = {e.level for e in result.punishment_events}
         assert levels == {PunishmentLevel.DEFECTION}
-        assert len(result.ledger.events) == 3
+        assert len(result.punishment_events) == 3
 
     def test_level_exclusivity_across_rosters(self):
         for labels in product("MPER", repeat=4):
             labels = ["R1" if c == "R" else c for c in labels]
             group, result = run_round(list(labels))
-            ledger = result.ledger
-            assert not (ledger.defectors & ledger.np1)
-            assert not (ledger.defectors & ledger.np2)
-            assert not (ledger.np1 & ledger.np2)
-            if not ledger.defectors:
-                assert ledger.np1 == frozenset()
-            if not ledger.np1:
-                assert ledger.np2 == frozenset()
-            pairs = [(e.punisher_id, e.target_id) for e in ledger.events]
+            events = result.punishment_events
+            levels_by_target = {}
+            for e in events:
+                levels_by_target.setdefault(e.target_id, set()).add(e.level)
+            assert all(len(levels) == 1 for levels in levels_by_target.values())
+            pairs = [(e.punisher_id, e.target_id) for e in events]
             assert len(pairs) == len(set(pairs))  # one event per pair per iteration
+            defectors = roles(result)[0]
+            assert not any(
+                e.target_id in defectors for e in events if e.level is not PunishmentLevel.DEFECTION
+            )
+            if not defectors:
+                assert events == ()
 
 
 class TestApplyUtilities:
@@ -241,7 +239,7 @@ class TestApplyUtilities:
         # each event removes exactly cost_to_punisher + cost_to_target from the group
         group, result = run_round(["M", "P", "E", "R1"], params=P63)
         meal_total = sum(result.meal_payoffs.values())
-        drained = sum(e.cost_to_punisher + e.cost_to_target for e in result.ledger.events)
+        drained = sum(e.cost_to_punisher + e.cost_to_target for e in result.punishment_events)
         assert sum(result.iteration_utilities.values()) == pytest.approx(meal_total - drained)
 
 
@@ -256,7 +254,7 @@ class TestMonotoneDeterrence:
                 orders=orders,
             )
             utility = result.iteration_utilities["a4"]
-            punished = any(e.target_id == "a4" for e in result.ledger.events)
+            punished = any(e.target_id == "a4" for e in result.punishment_events)
             if previous is not None:
                 assert utility <= previous
                 if punished:
@@ -293,7 +291,7 @@ class TestBackendDecidedSeverity:
         params = PunishmentParams(mode=PunishmentMode.BACKEND_DECIDED)
         group, result = run_round(["M", "P", "E", "R1"], params=params,
                                   backend=self.SeverityBackend())
-        defection = [e for e in result.ledger.events if e.level is PunishmentLevel.DEFECTION]
+        defection = [e for e in result.punishment_events if e.level is PunishmentLevel.DEFECTION]
         assert len(defection) == 2
         assert all(e.cost_to_target == 4.0 and e.cost_to_punisher == 2.0 for e in defection)
         # R1: 7 - 2*4 = -1; M: -3 - 2; P: -3 - 2; E: -3
@@ -384,7 +382,7 @@ class TestErrorPolicy:
                 menu=DEFAULT_MENU, params=P63, backend=self.FailingPunisher(),
                 error_policy="abstain",
             )
-        assert result.ledger.events == ()
+        assert result.punishment_events == ()
         assert "recording abstention" in caplog.text
         # nobody punished, so the fresh R1 keeps its flag down and banks the temptation payoff
         assert group[3].r1_punished is False
@@ -399,7 +397,7 @@ class TestErrorPolicy:
                 make_group(["M", "P", "E", "R1"]), group_id="g1", location="pub", iteration=1,
                 menu=DEFAULT_MENU, params=P63, backend=backend, error_policy="abstain",
             )
-        assert result.ledger.events == ()
+        assert result.punishment_events == ()
         # round 1 is one batch; round 2a has no observer outside np1 and the defectors
         assert backend.batches == [["a1", "a2", "a3"], []]
         warnings = [r.getMessage() for r in caplog.records]
@@ -455,11 +453,9 @@ class TestGroupMemo:
 
         assert hit == reference
         assert hit_group == ref_group  # r1_punished and both utilities
-        assert hit.ledger.defectors == miss.ledger.defectors == frozenset({"a4"})
-        assert hit.ledger.np1 == miss.ledger.np1 == frozenset({"a3"})
-        assert hit.ledger.np2 == miss.ledger.np2 == frozenset({"a2"})
-        assert hit.ledger.events == tuple(replace(e, iteration=2) for e in miss.ledger.events)
-        assert list(hit.order_sheet.choices) == list(reference.order_sheet.choices)
+        assert roles(hit) == roles(miss) == ({"a4"}, {"a3"}, {"a2"})
+        assert hit.punishment_events == tuple(replace(e, iteration=2) for e in miss.punishment_events)
+        assert list(hit.orders) == list(reference.orders)
         assert list(hit.meal_payoffs) == list(reference.meal_payoffs)
 
     @pytest.mark.parametrize("seatings", [
@@ -486,7 +482,7 @@ class TestGroupMemo:
                 ImpureOracle(), iteration, labels=labels, params=params, menu=menu
             )
             assert hit == reference  # bill_total, payoffs and events in pipeline order
-            assert list(hit.order_sheet.choices) == list(reference.order_sheet.choices)
+            assert list(hit.orders) == list(reference.orders)
             assert list(hit.meal_payoffs.items()) == list(reference.meal_payoffs.items())
             assert hit_group == ref_group  # r1_punished and both utilities
             results.append(hit)

@@ -39,13 +39,27 @@ def initial_census_of(result):
     return census_of(a.strategy for a in result.config.agents)
 
 
+# Configs by group count; every group punishes someone in some iteration.
+ROUND_TRIP_CONFIGS = {
+    1: make_config([["M", "P", "E", "R1"]], seed=3),
+    2: oracle_preset(seed=3),
+    3: make_config([["M", "P", "E", "R1"], ["R1", "R1", "E", "M"], ["R1", "P", "P", "M"]], seed=3),
+}
+
+
 class TestEventLog:
-    def test_round_trip_is_lossless(self, preset_run, tmp_path):
-        path = write_event_log(preset_run, tmp_path / "events.jsonl")
+    @pytest.mark.parametrize("groups", sorted(ROUND_TRIP_CONFIGS))
+    def test_round_trip_is_lossless(self, oracle, tmp_path, groups):
+        result = run_simulation(ROUND_TRIP_CONFIGS[groups], oracle)
+        punishing = {g.group_id for r in result.records for g in r.groups if g.punishment_events}
+        assert len(punishing) == groups
+        path = write_event_log(result, tmp_path / "events.jsonl")
         loaded = load_event_log(path)
-        assert loaded.records == preset_run.records
-        assert loaded.initial_census == initial_census_of(preset_run)
-        assert loaded.header["run_id"] == preset_run.handle.run_id
+        assert loaded.records == result.records
+        assert loaded.initial_census == initial_census_of(result)
+        assert loaded.header["run_id"] == result.handle.run_id
+        rewritten = event_log_lines(replace(result, records=loaded.records))
+        assert "".join(line + "\n" for line in rewritten) == path.read_text()
 
     def test_unreadable_line_raises_event_log_error(self, preset_run, tmp_path):
         path = write_event_log(preset_run, tmp_path / "events.jsonl")
