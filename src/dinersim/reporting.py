@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -45,12 +46,39 @@ class EmptySeries(ValueError):
     """A chart needs at least one census row."""
 
 
+_CENSUS_LABELS = [s.value for s in STRATEGY_ORDER]
+
+# One encoder for every line: ``json.dumps`` with these options builds a new
+# encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+_LEVEL_JSON = {level: _encode(level.value) for level in PunishmentLevel}
+
+
 def _census_counts(census: dict[Strategy, int]) -> dict[str, int]:
-    return {s.value: census.get(s, 0) for s in STRATEGY_ORDER}
+    return {label: census.get(s, 0) for s, label in zip(STRATEGY_ORDER, _CENSUS_LABELS)}
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+def _scalar(value) -> str:
+    """``value`` as the encoder writes it.
+
+    ``json`` writes a finite float or a plain int as its ``repr`` and a bool
+    as ``true`` or ``false``; NaN and infinities, and subclasses such as
+    ``np.float64``, go to the encoder.
+    """
+    kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return _encode(value)
+
+
+class _Encoded(dict):
+    """Each key's JSON text, encoded on first use."""
+
+    def __missing__(self, key: str) -> str:
+        text = self[key] = _encode(key)
+        return text
 
 
 def event_log_lines(result: RunResult) -> Iterable[str]:
@@ -58,10 +86,12 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
 
     Kinds: header, orders (one per group), punishment, utilities, imitation,
     census. Field order within each line is fixed; see the README for the
-    field-by-field schema.
+    field-by-field schema. Punishment and imitation lines, the most common,
+    come from templates; each is the text ``json.dumps`` gives for its
+    fields with the separators of the other lines.
     """
     initial = census_of(seed.strategy for seed in result.config.agents)
-    yield _dump(
+    yield _encode(
         {
             "kind": "header",
             "schema": SCHEMA_VERSION,
@@ -73,9 +103,11 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
             "config": config_to_dict(result.config),
         }
     )
+    ids = _Encoded()
     for record in result.records:
+        iteration = _scalar(record.iteration)
         for group in record.groups:
-            yield _dump(
+            yield _encode(
                 {
                     "kind": "orders",
                     "iteration": record.iteration,
@@ -86,39 +118,29 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
                     "meal_payoffs": group.meal_payoffs,
                 }
             )
-        for event in record.punishment_events:
-            yield _dump(
-                {
-                    "kind": "punishment",
-                    "iteration": event.iteration,
-                    "punisher": event.punisher_id,
-                    "target": event.target_id,
-                    "level": event.level.value,
-                    "cost_to_punisher": event.cost_to_punisher,
-                    "cost_to_target": event.cost_to_target,
-                }
-            )
-        yield _dump(
+        for group in record.groups:
+            for e in group.punishment_events:
+                yield (
+                    f'{{"kind":"punishment","iteration":{_scalar(e.iteration)},'
+                    f'"punisher":{ids[e.punisher_id]},"target":{ids[e.target_id]},'
+                    f'"level":{_LEVEL_JSON[e.level]},"cost_to_punisher":{_scalar(e.cost_to_punisher)},'
+                    f'"cost_to_target":{_scalar(e.cost_to_target)}}}'
+                )
+        yield _encode(
             {
                 "kind": "utilities",
                 "iteration": record.iteration,
                 "values": record.iteration_utilities,
             }
         )
-        for outcome in record.imitation_outcomes:
-            yield _dump(
-                {
-                    "kind": "imitation",
-                    "iteration": record.iteration,
-                    "focal": outcome.focal_id,
-                    "role_model": outcome.role_model_id,
-                    "payoff_diff": outcome.payoff_diff,
-                    "probability": outcome.probability,
-                    "uniform_draw": outcome.uniform_draw,
-                    "adopted": outcome.adopted,
-                }
+        for o in record.imitation_outcomes:
+            yield (
+                f'{{"kind":"imitation","iteration":{iteration},'
+                f'"focal":{ids[o.focal_id]},"role_model":{ids[o.role_model_id]},'
+                f'"payoff_diff":{_scalar(o.payoff_diff)},"probability":{_scalar(o.probability)},'
+                f'"uniform_draw":{_scalar(o.uniform_draw)},"adopted":{_scalar(o.adopted)}}}'
             )
-        yield _dump(
+        yield _encode(
             {
                 "kind": "census",
                 "iteration": record.iteration,
@@ -128,12 +150,11 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
 
 
 def write_event_log(result: RunResult, path: str | Path) -> Path:
-    """Write the log; a failed write removes the partial file."""
+    """Write the log in one call; a failed write removes the partial file."""
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="\n") as handle:
-            for line in event_log_lines(result):
-                handle.write(line + "\n")
+            handle.write("".join(f"{line}\n" for line in event_log_lines(result)))
     except OSError:
         path.unlink(missing_ok=True)
         raise
@@ -184,18 +205,54 @@ def _census(counts: dict) -> dict[Strategy, int]:
     return census
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode(line: str):
+    """``json.loads(line)``, without its whitespace scan on a line that is
+    one JSON value from first to last character."""
+    try:
+        item, end = _raw_decode(line)
+        if end == len(line):
+            return item
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
+def _member(members: dict, enum: type, value):
+    """``enum(value)``, through a value -> member dict."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        return enum(value)
+
+
+_MEALS = {m.value: m for m in MealChoice}
+_LEVELS = {level.value: level for level in PunishmentLevel}
+# Line kinds in the order an iteration's lines must come.
+_KINDS = ("orders", "punishment", "utilities", "imitation", "census")
+_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
+
+
 def load_event_log(path: str | Path) -> LoadedRun:
     """Rebuild IterationRecords from a log file, losslessly.
 
+    Reads the lines once, in the canonical order that
+    :func:`event_log_lines` writes: per iteration, the orders lines,
+    the punishment lines in group order, one utilities line keyed in seat
+    order, the imitation lines, then one census line labelled M, P, E, R1.
     Each punishment line goes to the group its punisher ordered in, and the
     utilities line is split by each group's orders. Raises
     :class:`EventLogError` for a log it cannot read back: an empty file, a
     line that is not UTF-8 JSON, a wrong header or schema, a missing key, a
     bad value (such as a census that is not counts of agents), an unknown
-    kind, an agent ordering in two groups of one iteration, a punisher and
-    target who did not order in one group, a utilities line whose keys
-    differ from the iteration's orders, or an iteration cut off before its
-    census line. ``OSError`` still means the file could not be read at all.
+    kind, a line out of the canonical order, iterations that do not
+    strictly ascend, an agent ordering in two groups of one iteration, a
+    punisher and target who did not order in one group, a utilities line
+    whose keys differ from the iteration's orders or their seat order, or an
+    iteration cut off before its census line. ``OSError`` still means the
+    file could not be read at all.
     """
     data = Path(path).read_bytes()
     try:
@@ -206,70 +263,86 @@ def load_event_log(path: str | Path) -> LoadedRun:
         raise EventLogError(path, 1, "empty file, expected a header line")
     malformed = (KeyError, TypeError, AttributeError, ValueError)
     try:
-        header = json.loads(lines[0])
+        header = _decode(lines[0])
         _check_header(header)
     except malformed as exc:
         raise EventLogError(path, 1, _problem(exc)) from exc
 
-    # Per iteration: GroupRound fields per group (events still a list), each
-    # agent's group, and whether the utilities line has been read.
-    by_iteration: dict[int, dict] = {}
-
-    def bucket(iteration: int) -> dict:
-        return by_iteration.setdefault(
-            iteration,
-            {"groups": [], "group_of": {}, "utilities_read": False, "imitation": [], "census": {}},
-        )
-
+    records: list[IterationRecord] = []
+    current = None  # the iteration being read, until its census line
+    closed = None  # the last iteration a census line closed
     for number, line in enumerate(lines[1:], start=2):
         try:
-            item = json.loads(line)
+            item = _decode(line)
             kind = item["kind"]
             iteration = item["iteration"]
-            slot = bucket(iteration)
-            group_of = slot["group_of"]
+            rank = _RANK.get(kind) if type(kind) is str else None
+            if rank is None:
+                raise ValueError(f"unknown event kind {kind!r}")
+            if current is None:
+                if closed is not None and iteration <= closed:
+                    raise ValueError(
+                        f"{kind} line of iteration {iteration} after the census line of iteration {closed}"
+                    )
+                current = iteration
+                reached = punished = 0  # rank of the last line, group of the last punishment
+                # Per group: GroupRound fields and its events; each agent's group.
+                groups: list[tuple[dict, list[PunishmentEvent]]] = []
+                group_of: dict[str, int] = {}
+                imitation: list[ImitationOutcome] = []
+            elif iteration != current:
+                raise ValueError(f"iteration {current} has no census line")
+            if rank < reached:
+                raise ValueError(f"{kind} after the {_KINDS[reached]} line of iteration {iteration}")
+            if rank == reached == 2:
+                raise ValueError(f"second utilities line of iteration {iteration}")
+            if rank > 2 > reached:
+                raise ValueError(f"{kind} before the utilities line of iteration {iteration}")
+            reached = rank
+
             if kind == "orders":
-                if slot["utilities_read"]:
-                    raise ValueError(f"orders after the utilities line of iteration {iteration}")
-                group = {
+                fields = {
                     "group_id": item["group"],
                     "location": item["location"],
-                    "orders": {a: MealChoice(c) for a, c in item["choices"].items()},
+                    "orders": {a: _member(_MEALS, MealChoice, c) for a, c in item["choices"].items()},
                     "bill_total": item["bill_total"],
                     "meal_payoffs": item["meal_payoffs"],
-                    "punishment_events": [],
-                    "iteration_utilities": {},
                 }
-                for agent_id in group["orders"]:
+                for agent_id in fields["orders"]:
                     if agent_id in group_of:
                         raise ValueError(f"agent {agent_id!r} orders in two groups of iteration {iteration}")
-                    group_of[agent_id] = group
-                slot["groups"].append(group)
+                    group_of[agent_id] = len(groups)
+                groups.append((fields, []))
             elif kind == "punishment":
                 event = PunishmentEvent(
                     iteration=iteration,
                     punisher_id=item["punisher"],
                     target_id=item["target"],
-                    level=PunishmentLevel(item["level"]),
+                    level=_member(_LEVELS, PunishmentLevel, item["level"]),
                     cost_to_punisher=item["cost_to_punisher"],
                     cost_to_target=item["cost_to_target"],
                 )
                 group = group_of.get(event.punisher_id)
-                if group is None or group_of.get(event.target_id) is not group:
+                if group is None or group_of.get(event.target_id) != group:
                     raise ValueError(
                         f"punisher {event.punisher_id!r} and target {event.target_id!r} "
                         f"did not order in one group of iteration {iteration}"
                     )
-                group["punishment_events"].append(event)
+                if group < punished:
+                    raise ValueError(
+                        f"punishment in group {groups[group][0]['group_id']!r} after one in group "
+                        f"{groups[punished][0]['group_id']!r} of iteration {iteration}"
+                    )
+                punished = group
+                groups[group][1].append(event)
             elif kind == "utilities":
-                values = item["values"]
-                if values.keys() != group_of.keys():
+                utilities = item["values"]
+                if utilities.keys() != group_of.keys():
                     raise ValueError(f"utilities keys differ from the orders of iteration {iteration}")
-                for group in slot["groups"]:
-                    group["iteration_utilities"] = {a: values[a] for a in group["orders"]}
-                slot["utilities_read"] = True
+                if list(utilities) != list(group_of):
+                    raise ValueError(f"utilities keys are not in the seat order of iteration {iteration}")
             elif kind == "imitation":
-                slot["imitation"].append(
+                imitation.append(
                     ImitationOutcome(
                         focal_id=item["focal"],
                         role_model_id=item["role_model"],
@@ -279,28 +352,30 @@ def load_event_log(path: str | Path) -> LoadedRun:
                         adopted=item["adopted"],
                     )
                 )
-            elif kind == "census":
-                slot["census"] = _census(item["counts"])
             else:
-                raise ValueError(f"unknown event kind {kind!r}")
+                counts = item["counts"]
+                if list(counts) != _CENSUS_LABELS:
+                    raise ValueError(f"census labels must be M, P, E, R1 in that order, not {list(counts)}")
+                records.append(
+                    IterationRecord(
+                        iteration=current,
+                        groups=tuple(
+                            GroupRound(
+                                **fields,
+                                punishment_events=tuple(events),
+                                iteration_utilities={a: utilities[a] for a in fields["orders"]},
+                            )
+                            for fields, events in groups
+                        ),
+                        imitation_outcomes=tuple(imitation),
+                        strategy_census=_census(counts),
+                    )
+                )
+                closed, current = current, None
         except malformed as exc:
             raise EventLogError(path, number, _problem(exc)) from exc
-    for iteration, slot in by_iteration.items():
-        if not slot["census"]:
-            raise EventLogError(path, len(lines), f"iteration {iteration} has no census line")
-
-    records = [
-        IterationRecord(
-            iteration=iteration,
-            groups=tuple(
-                GroupRound(**{**group, "punishment_events": tuple(group["punishment_events"])})
-                for group in slot["groups"]
-            ),
-            imitation_outcomes=tuple(slot["imitation"]),
-            strategy_census=slot["census"],
-        )
-        for iteration, slot in sorted(by_iteration.items())
-    ]
+    if current is not None:
+        raise EventLogError(path, len(lines), f"iteration {current} has no census line")
     return LoadedRun(header=header, records=records)
 
 

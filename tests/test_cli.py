@@ -277,6 +277,11 @@ class TestReport:
     SCOLD = (b'{"kind": "punishment", "iteration": 1, "punisher": "a1", "target": "%s", '
              b'"level": "defection", "cost_to_punisher": 1.0, "cost_to_target": 6.0}\n')
 
+    UTILITIES = b'{"kind": "utilities", "iteration": 1, "values": {"a1": 0.5}}\n'
+    CENSUS = b'{"kind": "census", "iteration": 1, "counts": {"M": 1, "P": 0, "E": 0, "R1": 0}}\n'
+    IMITATE = (b'{"kind": "imitation", "iteration": 1, "focal": "a1", "role_model": "a1", '
+               b'"payoff_diff": 0.0, "probability": 0.5, "uniform_draw": 0.5, "adopted": false}\n')
+
     @pytest.mark.parametrize("content, where, problem", [
         (b"", "line 1", "empty file"),
         (HEADER.encode() + b"\n{not json\n", "line 2", "not JSON"),
@@ -300,9 +305,33 @@ class TestReport:
         (HEADER.encode() + b"\n" + orders_line("g1", "a1")
          + b'{"kind": "utilities", "iteration": 1, "values": {"a1": 0.5}}\n' + orders_line("g2", "a2"),
          "line 4", "orders after the utilities line of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2") + orders_line("g2", "a3", "a4")
+         + SCOLD.replace(b'"a1"', b'"a3"') % b"a4" + SCOLD % b"a2",
+         "line 5", "punishment in group 'g1' after one in group 'g2' of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + CENSUS,
+         "line 3", "census before the utilities line of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES + UTILITIES,
+         "line 4", "second utilities line of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + IMITATE + UTILITIES + CENSUS,
+         "line 3", "imitation before the utilities line of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES + CENSUS + CENSUS,
+         "line 5", "census line of iteration 1 after the census line of iteration 1"),
+        (HEADER.encode() + b"\n"
+         + (orders_line("g1", "a1") + UTILITIES + CENSUS).replace(b'"iteration": 1', b'"iteration": 2')
+         + orders_line("g1", "a1") + UTILITIES + CENSUS,
+         "line 5", "orders line of iteration 1 after the census line of iteration 2"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2")
+         + b'{"kind": "utilities", "iteration": 1, "values": {"a2": 0.5, "a1": 0.5}}\n',
+         "line 3", "utilities keys are not in the seat order of iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES
+         + CENSUS.replace(b'"M": 1, "P": 0', b'"P": 0, "M": 1'),
+         "line 4", "census labels must be M, P, E, R1 in that order"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
-            "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities"])
+            "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
+            "punishment-out-of-group-order", "utilities-missing", "second-utilities",
+            "imitation-before-utilities", "second-census", "iterations-not-ascending",
+            "utilities-not-in-seat-order", "census-labels-out-of-order"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)

@@ -1,11 +1,23 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
+from itertools import cycle
 
+import numpy as np
 import pytest
 
-from dinersim.model import BackendConfig, Strategy, census_of, paper_preset
+from dinersim.model import (
+    BackendConfig,
+    ImitationOutcome,
+    PunishmentEvent,
+    PunishmentLevel,
+    PunishmentParams,
+    Strategy,
+    census_of,
+    paper_preset,
+)
 from dinersim.reporting import (
     EmptySeries,
     EventLogError,
@@ -60,6 +72,89 @@ class TestEventLog:
         assert loaded.header["run_id"] == result.handle.run_id
         rewritten = event_log_lines(replace(result, records=loaded.records))
         assert "".join(line + "\n" for line in rewritten) == path.read_text()
+
+    @pytest.mark.parametrize("groups", [2, 3])
+    def test_mutated_log_is_rejected_or_reproduced(self, oracle, tmp_path, groups):
+        """Every adjacent swap, deletion and duplication of a non-header line
+        either raises EventLogError or reloads to records that write the
+        mutated file back exactly."""
+        result = run_simulation(ROUND_TRIP_CONFIGS[groups], oracle)
+        header, *body = event_log_lines(result)
+        mutations = [body[:i] + [body[i + 1], body[i]] + body[i + 2:] for i in range(len(body) - 1)]
+        for i in range(len(body)):
+            mutations += [body[:i] + body[i + 1:], body[:i + 1] + body[i:]]
+        path = tmp_path / "events.jsonl"
+        accepted = 0
+        for lines in mutations:
+            text = "".join(f"{line}\n" for line in [header, *lines])
+            path.write_text(text, encoding="utf-8")
+            try:
+                loaded = load_event_log(path)
+            except EventLogError:
+                continue
+            accepted += 1
+            rewritten = event_log_lines(replace(result, records=loaded.records))
+            assert "".join(f"{line}\n" for line in rewritten) == text
+        # Swapping or dropping punishment lines of one group, or imitation
+        # lines, gives another log that is valid.
+        assert 0 < accepted < len(mutations)
+
+    def test_templated_lines_equal_json_dumps(self, preset_run):
+        params = PunishmentParams(p=3, k=1)
+        ids = ("zoë", 'say "hi"', "back\\slash", "名前")
+        numbers = (params.k, params.p, math.nan, math.inf, -math.inf, np.float64(-2.5),
+                   np.float64(math.nan), 0.1, -0.0, 1e-7, 1e22, 7)
+        count = len(numbers)
+        events = tuple(
+            PunishmentEvent(
+                iteration=1, punisher_id=ids[i % 4], target_id=ids[(i + 1) % 4], level=level,
+                cost_to_punisher=numbers[i], cost_to_target=numbers[count - 1 - i],
+            )
+            for i, level in zip(range(count), cycle(PunishmentLevel))
+        )
+        outcomes = tuple(
+            ImitationOutcome(
+                focal_id=ids[i % 4], role_model_id=ids[(i + 2) % 4], payoff_diff=numbers[i],
+                probability=numbers[i - 1], uniform_draw=numbers[i - 2], adopted=i % 2 == 0,
+            )
+            for i in range(count)
+        )
+        first = preset_run.records[0]
+        record = replace(
+            first,
+            groups=(replace(first.groups[0], punishment_events=events),),
+            imitation_outcomes=outcomes,
+        )
+        lines = list(event_log_lines(replace(preset_run, records=[record])))
+
+        def dumps(fields: dict) -> str:
+            return json.dumps(fields, separators=(",", ":"), ensure_ascii=False)
+
+        assert [line for line in lines if line.startswith('{"kind":"punishment"')] == [
+            dumps({
+                "kind": "punishment",
+                "iteration": e.iteration,
+                "punisher": e.punisher_id,
+                "target": e.target_id,
+                "level": e.level.value,
+                "cost_to_punisher": e.cost_to_punisher,
+                "cost_to_target": e.cost_to_target,
+            })
+            for e in events
+        ]
+        assert [line for line in lines if line.startswith('{"kind":"imitation"')] == [
+            dumps({
+                "kind": "imitation",
+                "iteration": record.iteration,
+                "focal": o.focal_id,
+                "role_model": o.role_model_id,
+                "payoff_diff": o.payoff_diff,
+                "probability": o.probability,
+                "uniform_draw": o.uniform_draw,
+                "adopted": o.adopted,
+            })
+            for o in outcomes
+        ]
 
     def test_unreadable_line_raises_event_log_error(self, preset_run, tmp_path):
         path = write_event_log(preset_run, tmp_path / "events.jsonl")
