@@ -15,6 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import reporting
 from .backends import RuleOracle, LlmBackend, BackendError
 from .backends.accuracy import build_scenario_suite, evaluate_accuracy, load_suite, save_suite
 from .config_io import load_config, save_config
@@ -22,20 +23,17 @@ from .model import (
     BackendConfig,
     ConfigError,
     STRATEGY_ORDER,
-    census_of,
     paper_preset,
     seed_in_range,
     validate_config,
 )
 from .reporting import (
     EventLogError,
-    census_series,
     convergence_stats,
     load_event_log,
-    render_trend_svg,
+    render_trend_svg,  # unused here; the benchmark's tracer wraps it in this module
     write_batch_summary_csv,
     write_census_csv,
-    write_event_log,
     write_trend_svg,
 )
 from .runner import MAX_JOBS, RunResult, RunStatus, run_replications, run_simulation
@@ -113,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--trace-llm", action="store_true")
     evaluate.set_defaults(func=cmd_eval_backend)
 
-    report = sub.add_parser("report", help="rebuild census CSV, SVG and stats from an event log")
+    report = sub.add_parser("report", help="rebuild census.csv and trend.svg from an event log")
     report.add_argument("--log", required=True, help="path to an events.jsonl file")
     report.add_argument("--out", required=True, help="output directory")
     report.add_argument("--title", default=None, help="chart title override")
@@ -128,17 +126,23 @@ def make_backend(settings: BackendConfig, trace: bool):
     return LlmBackend(settings=settings, trace=trace)
 
 
-def write_run_outputs(result: RunResult, out_dir: Path, title: str | None = None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    initial = census_of(seed.strategy for seed in result.config.agents)
-    write_event_log(result, out_dir / "events.jsonl")
-    write_census_csv(initial, result.records, out_dir / "census.csv")
-    write_trend_svg(
-        initial,
-        result.records,
-        title or f"Strategy shares (run {result.handle.run_id})",
-        out_dir / "trend.svg",
-    )
+def write_census_files(
+    run_dir: Path, run_id: str, initial, records, title: str | None = None
+) -> None:
+    """A run directory's ``census.csv`` and ``trend.svg``, for every command."""
+    title = title or f"Strategy shares (run {run_id})"
+    write_census_csv(initial, records, run_dir / "census.csv")
+    write_trend_svg(initial, records, title, run_dir / "trend.svg")
+
+
+def write_run_outputs(result: RunResult, run_dir: Path) -> str:
+    """A run's ``events.jsonl`` plus its census files; returns the log's path."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    # Through the module, so that a wrapper the benchmark's tracer puts
+    # there sees the call.
+    log_path = reporting.write_event_log(result, run_dir / "events.jsonl")
+    write_census_files(run_dir, result.handle.run_id, result.initial_census, result.records)
+    return str(log_path)
 
 
 def print_census(census) -> None:
@@ -227,19 +231,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary, results = run_replications(
-        config, backend, seeds, jobs=args.jobs, early_stop=args.early_stop, out_dir=out_dir
+    summary = run_replications(
+        config, backend, seeds, jobs=args.jobs, early_stop=args.early_stop,
+        on_run=lambda result: write_run_outputs(result, out_dir / result.handle.run_id),
     )
-    initial = census_of(seed.strategy for seed in config.agents)
-    for result in results:
-        run_dir = out_dir / result.handle.run_id
-        write_census_csv(initial, result.records, run_dir / "census.csv")
-        write_trend_svg(
-            initial,
-            result.records,
-            f"Strategy shares (run {result.handle.run_id})",
-            run_dir / "trend.svg",
-        )
     write_batch_summary_csv(summary.rows, out_dir / "batch_summary.csv")
     stats = convergence_stats(summary.rows)
     (out_dir / "aggregate_stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
@@ -288,10 +283,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     initial = loaded.initial_census
-    write_census_csv(initial, loaded.records, out_dir / "census.csv")
-    series = census_series(initial, loaded.records)
-    title = args.title or f"Strategy shares (run {loaded.header['run_id']})"
-    (out_dir / "trend.svg").write_text(render_trend_svg(series, title), encoding="utf-8")
+    write_census_files(out_dir, loaded.header["run_id"], initial, loaded.records, args.title)
     final = loaded.records[-1].strategy_census if loaded.records else initial
     print_census(final)
     print(f"rebuilt reports for run {loaded.header['run_id']} -> {out_dir}")

@@ -26,7 +26,6 @@ from .model import (
     PunishmentLevel,
     Strategy,
     STRATEGY_ORDER,
-    census_of,
 )
 from .runner import BatchRow, RunResult, RunStatus
 
@@ -90,7 +89,6 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
     come from templates; each is the text ``json.dumps`` gives for its
     fields with the separators of the other lines.
     """
-    initial = census_of(seed.strategy for seed in result.config.agents)
     yield _encode(
         {
             "kind": "header",
@@ -99,7 +97,7 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
             "seed": result.handle.seed,
             "status": result.handle.status.value,
             "iterations_executed": result.handle.iterations_executed,
-            "initial_census": _census_counts(initial),
+            "initial_census": _census_counts(result.initial_census),
             "config": config_to_dict(result.config),
         }
     )
@@ -246,13 +244,15 @@ def load_event_log(path: str | Path) -> LoadedRun:
     utilities line is split by each group's orders. Raises
     :class:`EventLogError` for a log it cannot read back: an empty file, a
     line that is not UTF-8 JSON, a wrong header or schema, a missing key, a
-    bad value (such as a census that is not counts of agents), an unknown
-    kind, a line out of the canonical order, iterations that do not
-    strictly ascend, an agent ordering in two groups of one iteration, a
-    punisher and target who did not order in one group, a utilities line
-    whose keys differ from the iteration's orders or their seat order, or an
-    iteration cut off before its census line. ``OSError`` still means the
-    file could not be read at all.
+    bad value (such as a census that is not counts of agents, or an
+    iteration that is not an ``int``), an unknown kind, a line out of the
+    canonical order, iterations that do not strictly ascend, an agent
+    ordering in two groups of one iteration, a punisher and target who did
+    not order in one group, a utilities line whose keys differ from the
+    iteration's orders or their seat order, an iteration cut off before its
+    census line, or iterations other than exactly 1 to the header's
+    ``iterations_executed``. ``OSError`` still means the file could not be
+    read at all.
     """
     data = Path(path).read_bytes()
     try:
@@ -279,6 +279,8 @@ def load_event_log(path: str | Path) -> LoadedRun:
             rank = _RANK.get(kind) if type(kind) is str else None
             if rank is None:
                 raise ValueError(f"unknown event kind {kind!r}")
+            if type(iteration) is not int:
+                raise ValueError(f"iteration must be an integer, not {iteration!r}")
             if current is None:
                 if closed is not None and iteration <= closed:
                     raise ValueError(
@@ -376,6 +378,11 @@ def load_event_log(path: str | Path) -> LoadedRun:
             raise EventLogError(path, number, _problem(exc)) from exc
     if current is not None:
         raise EventLogError(path, len(lines), f"iteration {current} has no census line")
+    executed = header.get("iterations_executed")
+    if type(executed) is not int or [r.iteration for r in records] != list(range(1, executed + 1)):
+        raise EventLogError(
+            path, len(lines), f"iterations are not 1..iterations_executed ({executed!r} in the header)"
+        )
     return LoadedRun(header=header, records=records)
 
 

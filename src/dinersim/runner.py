@@ -14,10 +14,10 @@ import logging
 import operator
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,6 +61,10 @@ class RunResult:
     final_agents: list[AgentState]
     convergence_iteration: int | None
     error: str | None = None
+
+    @property
+    def initial_census(self) -> dict[Strategy, int]:
+        return census_of(seed.strategy for seed in self.config.agents)
 
 
 # Every config field but the seed, and the last such values run_id_for
@@ -227,53 +231,41 @@ def run_replications(
     *,
     jobs: int = 1,
     early_stop: bool = False,
-    out_dir: str | Path | None = None,
-) -> tuple[BatchSummary, list[RunResult]]:
+    on_run: Callable[[RunResult], str | None] | None = None,
+) -> BatchSummary:
     """Run one independent simulation per seed.
 
-    Results are assembled in seed-list order no matter how runs are
-    scheduled, so identical inputs yield identical summaries. A duplicated
-    seed is allowed but warned about; an aborted run is reported in its row
-    rather than failing the batch. With ``out_dir`` each run's event log is
-    written to ``<out_dir>/<run_id>/events.jsonl`` and the path recorded in
-    its summary row. Runs go to a thread pool of
-    ``min(jobs, len(seeds), MAX_JOBS)`` workers when that exceeds one.
+    Rows come in seed-list order no matter how runs are scheduled, so
+    identical inputs yield identical summaries. A duplicated seed is allowed
+    but warned about; an aborted run is reported in its row rather than
+    failing the batch. Each finished run goes to ``on_run`` in the calling
+    thread, in seed-list order, and what it returns becomes the row's
+    ``log_path``; the run is then dropped, so the batch keeps only its rows.
+    Runs go to a thread pool of ``min(jobs, len(seeds), MAX_JOBS)`` workers
+    when that exceeds one.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if len(set(seeds)) != len(seeds):
         warnings.warn("duplicate seeds in replication batch; trajectories will repeat", stacklevel=2)
 
-    def one(seed: int) -> tuple[RunResult, str | None]:
-        result = run_simulation(replace(config, seed=seed), backend, early_stop=early_stop)
-        log_path = None
-        if out_dir is not None:
-            from .reporting import write_event_log  # local import avoids a cycle
+    def one(seed: int) -> RunResult:
+        return run_simulation(replace(config, seed=seed), backend, early_stop=early_stop)
 
-            run_dir = Path(out_dir) / result.handle.run_id
-            run_dir.mkdir(parents=True, exist_ok=True)
-            log_path = str(write_event_log(result, run_dir / "events.jsonl"))
-        return result, log_path
-
+    rows = []
     workers = min(jobs, len(seeds), MAX_JOBS)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, seeds))
-    else:
-        outcomes = [one(seed) for seed in seeds]
-
-    results = [result for result, _ in outcomes]
-    rows = [
-        BatchRow(
-            seed=result.handle.seed,
-            run_id=result.handle.run_id,
-            status=result.handle.status,
-            iterations_executed=result.handle.iterations_executed,
-            convergence_iteration=result.convergence_iteration,
-            final_census=result.final_census,
-            log_path=log_path,
-            error=result.error,
-        )
-        for result, log_path in outcomes
-    ]
-    return BatchSummary(rows=rows), results
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for result in (pool.map if pool else map)(one, seeds):
+            rows.append(
+                BatchRow(
+                    seed=result.handle.seed,
+                    run_id=result.handle.run_id,
+                    status=result.handle.status,
+                    iterations_executed=result.handle.iterations_executed,
+                    convergence_iteration=result.convergence_iteration,
+                    final_census=result.final_census,
+                    log_path=on_run(result) if on_run else None,
+                    error=result.error,
+                )
+            )
+    return BatchSummary(rows=rows)

@@ -281,6 +281,11 @@ class TestReport:
     CENSUS = b'{"kind": "census", "iteration": 1, "counts": {"M": 1, "P": 0, "E": 0, "R1": 0}}\n'
     IMITATE = (b'{"kind": "imitation", "iteration": 1, "focal": "a1", "role_model": "a1", '
                b'"payoff_diff": 0.0, "probability": 0.5, "uniform_draw": 0.5, "adopted": false}\n')
+    # A header saying three iterations ran, and the lines of iterations 1-3.
+    RAN_3 = HEADER.replace('"run_id": "r"', '"run_id": "r", "iterations_executed": 3').encode() + b"\n"
+    ITERATION_1 = orders_line("g1", "a1") + UTILITIES + CENSUS
+    ITERATION_2 = ITERATION_1.replace(b'"iteration": 1', b'"iteration": 2')
+    ITERATION_3 = ITERATION_1.replace(b'"iteration": 1', b'"iteration": 3')
 
     @pytest.mark.parametrize("content, where, problem", [
         (b"", "line 1", "empty file"),
@@ -326,12 +331,21 @@ class TestReport:
         (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES
          + CENSUS.replace(b'"M": 1, "P": 0', b'"P": 0, "M": 1'),
          "line 4", "census labels must be M, P, E, R1 in that order"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES
+         + CENSUS.replace(b'"iteration": 1', b'"iteration": 1.0'),
+         "line 4", "iteration must be an integer, not 1.0"),
+        (RAN_3 + ITERATION_1 + ITERATION_2,
+         "line 7", "iterations are not 1..iterations_executed (3 in the header)"),
+        (RAN_3, "line 1", "iterations are not 1..iterations_executed (3 in the header)"),
+        (RAN_3 + ITERATION_1 + ITERATION_3,
+         "line 7", "iterations are not 1..iterations_executed (3 in the header)"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
             "punishment-out-of-group-order", "utilities-missing", "second-utilities",
             "imitation-before-utilities", "second-census", "iterations-not-ascending",
-            "utilities-not-in-seat-order", "census-labels-out-of-order"])
+            "utilities-not-in-seat-order", "census-labels-out-of-order", "iteration-not-int",
+            "cut-after-an-iteration", "header-only", "iteration-removed"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)
@@ -346,6 +360,24 @@ class TestReport:
         code = main(["report", "--log", str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "rebuilt")])
         assert code == 1
+
+
+class TestCommandsAgree:
+    def test_simulate_replicate_and_report_write_the_same_files(self, tmp_path):
+        config = tmp_path / "preset.json"
+        assert main(["preset", "--combination", "2", "--punishment", "3:1", "--seed", "5",
+                     "--backend", "oracle", "--out", str(config)]) == 0
+        assert main(["simulate", "--config", str(config), "--backend", "oracle",
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert main(["replicate", "--combination", "2", "--punishment", "3:1", "--backend", "oracle",
+                     "--seeds", "8", "--jobs", "2", "--out", str(tmp_path / "batch")]) == 0
+        (run_dir,) = (tmp_path / "batch").glob("*-s5")
+        for name in ("events.jsonl", "census.csv", "trend.svg"):
+            assert (tmp_path / "sim" / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert main(["report", "--log", str(run_dir / "events.jsonl"),
+                     "--out", str(tmp_path / "rebuilt")]) == 0
+        for name in ("census.csv", "trend.svg"):
+            assert (tmp_path / "rebuilt" / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 class TestParser:

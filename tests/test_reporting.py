@@ -15,7 +15,6 @@ from dinersim.model import (
     PunishmentLevel,
     PunishmentParams,
     Strategy,
-    census_of,
     paper_preset,
 )
 from dinersim.reporting import (
@@ -47,10 +46,6 @@ def preset_run():
     return run_simulation(oracle_preset(seed=3), RuleOracle())
 
 
-def initial_census_of(result):
-    return census_of(a.strategy for a in result.config.agents)
-
-
 # Configs by group count; every group punishes someone in some iteration.
 ROUND_TRIP_CONFIGS = {
     1: make_config([["M", "P", "E", "R1"]], seed=3),
@@ -68,7 +63,7 @@ class TestEventLog:
         path = write_event_log(result, tmp_path / "events.jsonl")
         loaded = load_event_log(path)
         assert loaded.records == result.records
-        assert loaded.initial_census == initial_census_of(result)
+        assert loaded.initial_census == result.initial_census
         assert loaded.header["run_id"] == result.handle.run_id
         rewritten = event_log_lines(replace(result, records=loaded.records))
         assert "".join(line + "\n" for line in rewritten) == path.read_text()
@@ -217,7 +212,7 @@ class TestEventLog:
 class TestCensusCsv:
     def test_preset_one_initial_row(self, preset_run, tmp_path):
         path = write_census_csv(
-            initial_census_of(preset_run), preset_run.records, tmp_path / "census.csv"
+            preset_run.initial_census, preset_run.records, tmp_path / "census.csv"
         )
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,M,P,E,R1"
@@ -227,7 +222,7 @@ class TestCensusCsv:
     def test_preset_two_initial_row(self, oracle, tmp_path):
         result = run_simulation(oracle_preset(combination=2, punishment="3:1"), oracle)
         path = write_census_csv(
-            initial_census_of(result), result.records, tmp_path / "census.csv"
+            result.initial_census, result.records, tmp_path / "census.csv"
         )
         assert path.read_text().splitlines()[1] == "0,0.250000,0.250000,0.125000,0.375000"
 
@@ -235,13 +230,13 @@ class TestCensusCsv:
         config = make_config([["M", "M", "M", "M"], ["M", "M", "M", "M"]])
         result = run_simulation(config, oracle)
         path = write_census_csv(
-            initial_census_of(result), result.records, tmp_path / "census.csv"
+            result.initial_census, result.records, tmp_path / "census.csv"
         )
         for line in path.read_text().splitlines()[1:]:
             assert line.endswith(",1.000000,0.000000,0.000000,0.000000")
 
     def test_fractions_sum_to_one(self, preset_run):
-        for row in census_series(initial_census_of(preset_run), preset_run.records):
+        for row in census_series(preset_run.initial_census, preset_run.records):
             assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -261,7 +256,7 @@ class TestTrendSvg:
             assert len(ys) == 1  # horizontal
 
     def test_full_share_maps_to_plot_top(self, preset_run):
-        series = census_series(initial_census_of(preset_run), preset_run.records)
+        series = census_series(preset_run.initial_census, preset_run.records)
         series[-1] = {
             Strategy.MORALIST: 1.0,
             Strategy.COOPERATOR_PUNISHER: 0.0,
@@ -338,7 +333,7 @@ class TestConvergenceStats:
 
 class TestBatchSummaryCsv:
     def test_summary_rows_and_fractions(self, oracle, tmp_path):
-        summary, _ = run_replications(oracle_preset(), oracle, [0, 1, 2])
+        summary = run_replications(oracle_preset(), oracle, [0, 1, 2])
         path = write_batch_summary_csv(summary.rows, tmp_path / "batch.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == (
@@ -350,9 +345,11 @@ class TestBatchSummaryCsv:
             fractions = [float(x) for x in line.split(",")[5:9]]
             assert sum(fractions) == pytest.approx(1.0, abs=1e-9)
 
-    def test_out_dir_records_trajectory_paths(self, oracle, tmp_path):
-        summary, _ = run_replications(oracle_preset(), oracle, [0, 1], out_dir=tmp_path)
-        for row in summary.rows:
-            assert row.log_path is not None
-            assert row.log_path.endswith("events.jsonl")
-            assert (tmp_path / row.run_id / "events.jsonl").exists()
+    def test_on_run_return_value_is_the_log_path(self, oracle, tmp_path):
+        summary = run_replications(
+            oracle_preset(), oracle, [0, 1], on_run=lambda result: f"{result.handle.run_id}/events.jsonl"
+        )
+        assert [row.log_path for row in summary.rows] == [f"{row.run_id}/events.jsonl" for row in summary.rows]
+        lines = write_batch_summary_csv(summary.rows, tmp_path / "batch.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [row.log_path for row in summary.rows]
+        assert all(row.log_path is None for row in run_replications(oracle_preset(), oracle, [0]).rows)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -41,6 +43,13 @@ def oracle_preset(combination=1, punishment="6:1", seed=0):
 
 def log_text(result) -> str:
     return "\n".join(event_log_lines(result))
+
+
+def replicate(config, backend, seeds, **options):
+    """``run_replications``' summary and the results it handed to ``on_run``."""
+    results = []
+    summary = run_replications(config, backend, seeds, on_run=results.append, **options)
+    return summary, results
 
 
 class TestRunSimulation:
@@ -203,24 +212,41 @@ class TestRunReplications:
     def test_duplicate_seed_warns_and_repeats_trajectory(self, oracle):
         config = oracle_preset()
         with pytest.warns(UserWarning, match="duplicate seeds"):
-            summary, results = run_replications(config, oracle, [4, 4])
+            summary, results = replicate(config, oracle, [4, 4])
         assert log_text(results[0]) == log_text(results[1])
 
     def test_row_count_matches_seed_count(self, oracle):
-        summary, results = run_replications(oracle_preset(), oracle, list(range(20)))
+        summary = run_replications(oracle_preset(), oracle, list(range(20)))
         assert len(summary.rows) == 20
         assert [row.seed for row in summary.rows] == list(range(20))
 
     def test_parallel_equals_serial(self, oracle):
         config = oracle_preset(punishment="3:1")
-        serial, results_serial = run_replications(config, oracle, list(range(8)), jobs=1)
-        parallel, results_parallel = run_replications(config, oracle, list(range(8)), jobs=4)
+        serial, results_serial = replicate(config, oracle, list(range(8)), jobs=1)
+        parallel, results_parallel = replicate(config, oracle, list(range(8)), jobs=4)
         assert serial == parallel
         assert [log_text(a) for a in results_serial] == [log_text(b) for b in results_parallel]
 
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_runs_stream_through_on_run(self, oracle, jobs):
+        seeds = [5, 3, 8, 1, 9, 2, 7, 4]
+        seen = []  # (seed, weak reference to its result), in callback order
+
+        def on_run(result):
+            gc.collect()
+            if jobs == 1:
+                assert [seed for seed, ref in seen if ref() is not None] == []
+            seen.append((result.handle.seed, weakref.ref(result)))
+
+        summary = run_replications(oracle_preset(), oracle, seeds, jobs=jobs, on_run=on_run)
+        gc.collect()
+        assert [seed for seed, _ in seen] == seeds
+        assert [seed for seed, ref in seen if ref() is not None] == []
+        assert [row.seed for row in summary.rows] == seeds
+
     def test_injected_fault_aborts_one_run_only(self):
         backend = FailOnNthRun(fail_on=2)
-        summary, results = run_replications(oracle_preset(), backend, [0, 1, 2])
+        summary, results = replicate(oracle_preset(), backend, [0, 1, 2])
         statuses = [row.status for row in summary.rows]
         assert statuses[1] is RunStatus.ABORTED
         assert statuses[0] is not RunStatus.ABORTED
@@ -279,8 +305,8 @@ class TestGroupMemoParity:
         # order, so every run aborts, and nothing may be memoised.
         config = replace(paper_preset(combination, punishment, 0), menu=menu)
         oracle = RuleOracle()
-        _, memoised = run_replications(config, oracle, seeds, jobs=jobs)
-        _, reference = run_replications(config, ImpureOracle(), seeds, jobs=jobs)
+        _, memoised = replicate(config, oracle, seeds, jobs=jobs)
+        _, reference = replicate(config, ImpureOracle(), seeds, jobs=jobs)
         for got, want in zip(memoised, reference):
             assert got.handle == want.handle and got.error == want.error
             assert list(event_log_lines(got)) == list(event_log_lines(want))
@@ -291,11 +317,11 @@ class TestGroupMemoParity:
     def test_shared_memo_under_thread_contention(self):
         config = oracle_preset(2, "3:1")
         seeds = list(range(24))
-        _, reference = run_replications(config, ImpureOracle(), seeds)
+        _, reference = replicate(config, ImpureOracle(), seeds)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _, memoised = run_replications(config, RuleOracle(), seeds, jobs=4)
+            _, memoised = replicate(config, RuleOracle(), seeds, jobs=4)
         finally:
             sys.setswitchinterval(interval)
         assert [log_text(r) for r in memoised] == [log_text(r) for r in reference]
@@ -333,7 +359,7 @@ class TestReplicationJobs:
     )
     def test_workers_capped_at_seeds_and_ceiling(self, pool_sizes, jobs, n_seeds, workers):
         config = replace(oracle_preset(), iterations=0)
-        summary, _ = run_replications(config, RuleOracle(), list(range(n_seeds)), jobs=jobs)
+        summary = run_replications(config, RuleOracle(), list(range(n_seeds)), jobs=jobs)
         assert len(summary.rows) == n_seeds
         assert pool_sizes == ([] if workers is None else [workers])
 
@@ -352,6 +378,6 @@ class TestReplicationJobs:
 
         monkeypatch.setattr(runner, "config_to_dict", counting)
         config = replace(oracle_preset(), iterations=0)
-        summary, _ = run_replications(config, RuleOracle(), [3, 4, 5, 6])
+        summary = run_replications(config, RuleOracle(), [3, 4, 5, 6])
         assert len(calls) == 1
         assert [row.run_id for row in summary.rows] == [f"e57babec8c-s{s}" for s in (3, 4, 5, 6)]
