@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..config_io import load_data, save_data
-from ..model import PunishmentMode, Strategy, STRATEGY_DESCRIPTIONS, STRATEGY_ORDER
+from ..model import DEFAULT_MENU, MealChoice, PunishmentMode, Strategy, STRATEGY_ORDER
 from .base import (
     BackendError,
     DecisionBackend,
@@ -33,6 +33,14 @@ SUITE_LIFESTYLES: tuple[tuple[str, str], ...] = (
 
 _SUITE_ROSTER_NAMES = ("Bo Lindqvist", "Carmen Diaz", "Farid Khan")
 _TARGET_NAME = "Farid Khan"
+
+# Per punish kind: which roster diner ordered premium, who scolded whom, and
+# whom the target spared.
+_SUITE_SCENES = {
+    DecisionKind.PUNISH_DEFECTOR: ("Farid Khan", {}, ()),
+    DecisionKind.PUNISH_NON_PUNISHER: ("Bo Lindqvist", {"Carmen Diaz": ("Bo Lindqvist",)}, ("Bo Lindqvist",)),
+    DecisionKind.PUNISH_META_NON_PUNISHER: ("Bo Lindqvist", {"Farid Khan": ("Bo Lindqvist",)}, ("Carmen Diaz",)),
+}
 
 
 @dataclass(frozen=True)
@@ -96,48 +104,24 @@ def _suite_context(
 ) -> DecisionContext:
     if kind is DecisionKind.ORDER:
         roster = tuple(RosterEntry(name=n) for n in _SUITE_ROSTER_NAMES)
-        extras = {"menu_description": (
-            "budget meal (price 10, worth 12 to you) or premium meal (price 30, "
-            "worth 22 to you); the table has agreed to split the total bill equally"
-        )}
+        extras = {"menu": DEFAULT_MENU}
     else:
-        actions = {
-            DecisionKind.PUNISH_DEFECTOR: {
-                "Bo Lindqvist": "ordered the budget meal",
-                "Carmen Diaz": "ordered the budget meal",
-                "Farid Khan": "ordered the premium meal",
-            },
-            DecisionKind.PUNISH_NON_PUNISHER: {
-                "Bo Lindqvist": "ordered the premium meal",
-                "Carmen Diaz": "ordered the budget meal; scolded Bo Lindqvist",
-                "Farid Khan": "ordered the budget meal",
-            },
-            DecisionKind.PUNISH_META_NON_PUNISHER: {
-                "Bo Lindqvist": "ordered the premium meal",
-                "Carmen Diaz": "ordered the budget meal",
-                "Farid Khan": "ordered the budget meal; scolded Bo Lindqvist",
-            },
-        }[kind]
-        evidence = {
-            DecisionKind.PUNISH_DEFECTOR: (
-                f"{_TARGET_NAME} ordered the premium meal and pushed part of its cost onto the table."
-            ),
-            DecisionKind.PUNISH_NON_PUNISHER: (
-                f"{_TARGET_NAME} saw Bo Lindqvist order premium and did not scold them."
-            ),
-            DecisionKind.PUNISH_META_NON_PUNISHER: (
-                f"{_TARGET_NAME} let Carmen Diaz off without a scolding for ignoring defection."
-            ),
-        }[kind]
-        roster = tuple(RosterEntry(name=n, visible_action=actions[n]) for n in _SUITE_ROSTER_NAMES)
-        extras = {"target_name": _TARGET_NAME, "evidence": evidence}
+        defector, scolds, spared = _SUITE_SCENES[kind]
+        roster = tuple(
+            RosterEntry(
+                name=n,
+                order=MealChoice.PREMIUM if n == defector else MealChoice.BUDGET,
+                scolded=scolds.get(n, ()),
+            )
+            for n in _SUITE_ROSTER_NAMES
+        )
+        extras = {"target_name": _TARGET_NAME, "spared": spared}
     return DecisionContext(
         kind=kind,
         iteration=1,
         location="pub",
         actor_name="Alex Rivera",
         actor_strategy=strategy,
-        actor_strategy_description=STRATEGY_DESCRIPTIONS[strategy],
         actor_lifestyle=lifestyle,
         actor_r1_punished=r1_punished,
         roster=roster,

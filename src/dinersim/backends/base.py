@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..model import PunishmentMode, Strategy
+from ..model import MealChoice, MenuConfig, PunishmentMode, Strategy
 
 
 class BackendError(Exception):
@@ -55,20 +55,24 @@ PUNISH_CHOICES = ("punish", "abstain")
 
 @dataclass(frozen=True)
 class RosterEntry:
-    """A fellow diner as visible to the deciding agent: name plus whatever
-    they have been seen doing so far this iteration."""
+    """A fellow diner as visible to the deciding agent: name, the meal they
+    ordered once orders are in, and whom they scolded so far this iteration,
+    in event order."""
 
     name: str
-    visible_action: str | None = None
+    order: MealChoice | None = None
+    scolded: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class DecisionContext:
-    """Everything a backend may condition on for one decision.
+    """Everything a backend may condition on for one decision, as structure.
 
-    ``target_name``/``evidence`` are set for punish kinds only;
-    ``menu_description`` for orders only. ``punishment_p``/``punishment_k``
-    are set when the punishment mode is explicit.
+    ``menu`` is set for orders only; ``target_name`` for punish kinds only.
+    ``spared`` names, sorted, whom the target left unscolded: the defectors
+    for a non-punisher, the non-punishers for a meta-non-punisher.
+    ``punishment_p``/``punishment_k`` are set when the punishment mode is
+    explicit.
     """
 
     kind: DecisionKind
@@ -76,16 +80,15 @@ class DecisionContext:
     location: str
     actor_name: str
     actor_strategy: Strategy
-    actor_strategy_description: str
     actor_lifestyle: str
     actor_r1_punished: bool
     roster: tuple[RosterEntry, ...]
     punishment_mode: PunishmentMode
     punishment_p: float | None = None
     punishment_k: float | None = None
-    menu_description: str | None = None
+    menu: MenuConfig | None = None
     target_name: str | None = None
-    evidence: str | None = None
+    spared: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,8 @@ class DecisionBackend(ABC):
 
     #: A pure backend's decision depends only on ``ctx.kind``,
     #: ``actor_strategy``, ``actor_r1_punished`` and the punishment mode,
-    #: ``p`` and ``k``. The engine then memoises whole group outcomes in the
+    #: ``p`` and ``k``; it ignores the roster, ``menu``, ``target_name`` and
+    #: ``spared``. The engine then memoises whole group outcomes in the
     #: backend's ``group_memo`` dict, which a pure backend must provide, so
     #: the memo is freed with the instance. Failures are never memoised.
     pure: bool = False

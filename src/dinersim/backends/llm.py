@@ -27,7 +27,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 import requests
 
-from ..model import BackendConfig, PunishmentMode
+from ..model import BackendConfig, MenuConfig, PunishmentMode, Strategy
 from .base import (
     BackendError,
     Decision,
@@ -38,6 +38,7 @@ from .base import (
     ParseError,
     PromptRenderError,
     PUNISH_CHOICES,
+    RosterEntry,
     SchemaError,
     TransportError,
     check_decision,
@@ -60,6 +61,61 @@ TEMPLATE_FILES = {
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
+# Each strategy's behavioural contract, as the prompts state it; the rule
+# oracle implements the same contracts.
+STRATEGY_DESCRIPTIONS: dict[Strategy, str] = {
+    Strategy.COOPERATOR_PUNISHER: (
+        "You always order the budget meal. Whenever another diner orders the "
+        "premium meal, you scold them for pushing their cost onto the table. "
+        "You do not scold anyone for anything other than ordering premium."
+    ),
+    Strategy.RELUCTANT_COOPERATOR: (
+        "You order the premium meal to maximise your own enjoyment, until the "
+        "first time you are scolded for it. From then on you always order the "
+        "budget meal. You never scold anyone yourself."
+    ),
+    Strategy.EASY_GOING_COOPERATOR: (
+        "You always order the budget meal, and you never scold anyone, no "
+        "matter what they do."
+    ),
+    Strategy.MORALIST: (
+        "You always order the budget meal. You scold diners who order the "
+        "premium meal, you scold diners who failed to scold a premium "
+        "orderer, and you scold diners who failed to scold those bystanders "
+        "in turn."
+    ),
+}
+
+
+def menu_description(menu: MenuConfig) -> str:
+    return (
+        f"budget meal (price {menu.budget_cost:g}, worth {menu.budget_value:g} to you) or "
+        f"premium meal (price {menu.premium_cost:g}, worth {menu.premium_value:g} to you); "
+        "the table has agreed to split the total bill equally"
+    )
+
+
+def _join(names: Sequence[str]) -> str:
+    if not names:
+        return "nobody"
+    if len(names) == 1:
+        return names[0]
+    return ", ".join(names[:-1]) + " and " + names[-1]
+
+
+def _roster_line(entry: RosterEntry) -> str:
+    seen = [f"ordered the {entry.order.value} meal"] if entry.order else []
+    seen += [f"scolded {name}" for name in entry.scolded]
+    return f"- {entry.name}: " + "; ".join(seen) if seen else f"- {entry.name}"
+
+
+# What the target of each punish kind did, as its prompt states it.
+_EVIDENCE = {
+    DecisionKind.PUNISH_DEFECTOR: "{target} ordered the premium meal and pushed part of its cost onto the table.",
+    DecisionKind.PUNISH_NON_PUNISHER: "{target} saw {spared} order premium and did not scold them.",
+    DecisionKind.PUNISH_META_NON_PUNISHER: "{target} let {spared} off without a scolding for ignoring defection.",
+}
+
 
 def load_templates(template_dir: str | None = None) -> dict[DecisionKind, Template]:
     """Load the four stage templates from a directory or the shipped defaults."""
@@ -77,10 +133,7 @@ def load_templates(template_dir: str | None = None) -> dict[DecisionKind, Templa
 
 def render_prompt(ctx: DecisionContext, templates: dict[DecisionKind, Template]) -> str:
     """Bind every placeholder or fail before any network traffic."""
-    roster_lines = [
-        f"- {entry.name}" + (f": {entry.visible_action}" if entry.visible_action else "")
-        for entry in ctx.roster
-    ]
+    roster_lines = [_roster_line(entry) for entry in ctx.roster]
     if ctx.punishment_mode is PunishmentMode.EXPLICIT:
         punishment_note = (
             f"House rule: scolding someone costs you {ctx.punishment_k:g} and costs "
@@ -108,17 +161,17 @@ def render_prompt(ctx: DecisionContext, templates: dict[DecisionKind, Template])
         "iteration": str(ctx.iteration),
         "lifestyle": ctx.actor_lifestyle or "(none given)",
         "strategy_label": ctx.actor_strategy.value,
-        "strategy_description": ctx.actor_strategy_description,
+        "strategy_description": STRATEGY_DESCRIPTIONS[ctx.actor_strategy],
         "punished_note": (
             "You have been scolded for ordering premium before."
             if ctx.actor_r1_punished
             else "You have never been scolded for your orders."
         ),
         "roster": "\n".join(roster_lines) if roster_lines else "- (nobody else)",
-        "menu": ctx.menu_description or "",
+        "menu": menu_description(ctx.menu) if ctx.menu else "",
         "punishment_note": punishment_note,
         "target_name": ctx.target_name or "",
-        "evidence": ctx.evidence or "",
+        "evidence": _EVIDENCE.get(ctx.kind, "").format(target=ctx.target_name, spared=_join(ctx.spared)),
         "reply_format": reply_format,
     }
     try:

@@ -32,18 +32,9 @@ from .model import (
     PunishmentMode,
     PunishmentParams,
     Strategy,
-    STRATEGY_DESCRIPTIONS,
 )
 
 log = logging.getLogger(__name__)
-
-
-def menu_description(menu: MenuConfig) -> str:
-    return (
-        f"budget meal (price {menu.budget_cost:g}, worth {menu.budget_value:g} to you) or "
-        f"premium meal (price {menu.premium_cost:g}, worth {menu.premium_value:g} to you); "
-        "the table has agreed to split the total bill equally"
-    )
 
 
 def _base_context(
@@ -62,7 +53,6 @@ def _base_context(
         location=location,
         actor_name=agent.name,
         actor_strategy=agent.strategy,
-        actor_strategy_description=STRATEGY_DESCRIPTIONS[agent.strategy],
         actor_lifestyle=agent.lifestyle,
         actor_r1_punished=agent.r1_punished,
         roster=roster,
@@ -73,12 +63,29 @@ def _base_context(
     )
 
 
-def _roster(group: Sequence[AgentState], actor: AgentState, actions: dict[str, str]) -> tuple[RosterEntry, ...]:
-    return tuple(
-        RosterEntry(name=a.name, visible_action=actions.get(a.agent_id))
+def _seen(
+    group: Sequence[AgentState],
+    orders: dict[str, MealChoice] | None = None,
+    events: Sequence[PunishmentEvent] = (),
+) -> dict[str, RosterEntry]:
+    """Each member as the others see it: its order, once orders are in, and
+    whom it scolded in ``events``, in event order."""
+    names = {a.agent_id: a.name for a in group}
+    scolded: dict[str, list[str]] = {}
+    for e in events:
+        scolded.setdefault(e.punisher_id, []).append(names[e.target_id])
+    return {
+        a.agent_id: RosterEntry(
+            name=a.name,
+            order=orders[a.agent_id] if orders else None,
+            scolded=tuple(scolded.get(a.agent_id, ())),
+        )
         for a in group
-        if a.agent_id != actor.agent_id
-    )
+    }
+
+
+def _roster(seen: dict[str, RosterEntry], actor: AgentState) -> tuple[RosterEntry, ...]:
+    return tuple(entry for agent_id, entry in seen.items() if agent_id != actor.agent_id)
 
 
 def collect_orders(
@@ -95,15 +102,16 @@ def collect_orders(
     Orders are simultaneous: nobody sees anyone else's choice. The engine
     never overrides a backend decision; backend failures propagate.
     """
+    seen = _seen(group)
     contexts = [
         _base_context(
             agent,
             DecisionKind.ORDER,
             iteration=iteration,
             location=location,
-            roster=_roster(group, agent, {}),
+            roster=_roster(seen, agent),
             params=params,
-            menu_description=menu_description(menu),
+            menu=menu,
         )
         for agent in group
     ]
@@ -163,6 +171,52 @@ def _event_costs(decision: Decision, params: PunishmentParams) -> tuple[float, f
     return float(k), float(p)
 
 
+def _punish_stage(
+    pairs: Sequence[tuple[AgentState, AgentState]],
+    kind: DecisionKind,
+    level: PunishmentLevel,
+    seen: dict[str, RosterEntry],
+    spared_by: dict[str, tuple[str, ...]],
+    backend: DecisionBackend,
+    params: PunishmentParams,
+    *,
+    iteration: int,
+    location: str,
+    error_policy: str,
+) -> list[PunishmentEvent]:
+    """Ask each (observer, target) pair's observer whether to punish; the
+    events of those who did, in pair order."""
+    contexts = [
+        _base_context(
+            observer,
+            kind,
+            iteration=iteration,
+            location=location,
+            roster=_roster(seen, observer),
+            params=params,
+            target_name=target.name,
+            spared=spared_by.get(target.agent_id, ()),
+        )
+        for observer, target in pairs
+    ]
+    events = []
+    for (observer, target), decision in zip(pairs, _punish_decisions(backend, contexts, error_policy)):
+        if decision.choice != "punish":
+            continue
+        cost_k, cost_p = _event_costs(decision, params)
+        events.append(
+            PunishmentEvent(
+                iteration=iteration,
+                punisher_id=observer.agent_id,
+                target_id=target.agent_id,
+                level=level,
+                cost_to_punisher=cost_k,
+                cost_to_target=cost_p,
+            )
+        )
+    return events
+
+
 def punishment_round_1(
     group: Sequence[AgentState],
     orders: dict[str, MealChoice],
@@ -183,10 +237,6 @@ def punishment_round_1(
         agent_id for agent_id, choice in orders.items() if choice is MealChoice.PREMIUM
     )
     by_id = {a.agent_id: a for a in group}
-    visible = {
-        a.agent_id: f"ordered the {orders[a.agent_id].value} meal" for a in group
-    }
-
     ordered_defectors = [agent_id for agent_id in orders if agent_id in defectors]
     pairs = [
         (observer, by_id[defector_id])
@@ -194,39 +244,11 @@ def punishment_round_1(
         if observer.agent_id not in defectors
         for defector_id in ordered_defectors
     ]
-    contexts = [
-        _base_context(
-            observer,
-            DecisionKind.PUNISH_DEFECTOR,
-            iteration=iteration,
-            location=location,
-            roster=_roster(group, observer, visible),
-            params=params,
-            target_name=target.name,
-            evidence=f"{target.name} ordered the premium meal and pushed part of its cost onto the table.",
-        )
-        for observer, target in pairs
-    ]
-    decisions = _punish_decisions(backend, contexts, error_policy)
-
-    events = []
-    punished: set[str] = set()
-    for (observer, target), decision in zip(pairs, decisions):
-        if decision.choice != "punish":
-            continue
-        cost_k, cost_p = _event_costs(decision, params)
-        events.append(
-            PunishmentEvent(
-                iteration=iteration,
-                punisher_id=observer.agent_id,
-                target_id=target.agent_id,
-                level=PunishmentLevel.DEFECTION,
-                cost_to_punisher=cost_k,
-                cost_to_target=cost_p,
-            )
-        )
-        punished.add(target.agent_id)
-
+    events = _punish_stage(
+        pairs, DecisionKind.PUNISH_DEFECTOR, PunishmentLevel.DEFECTION, _seen(group, orders), {},
+        backend, params, iteration=iteration, location=location, error_policy=error_policy,
+    )
+    punished = {e.target_id for e in events}
     for agent in group:
         if (
             agent.agent_id in punished
@@ -275,78 +297,23 @@ def metanorm_round_2(
     """
     if not np1:
         return []
-    by_id = {a.agent_id: a for a in group}
     names = {a.agent_id: a.name for a in group}
-    group_order = [a.agent_id for a in group]
-
-    def run_stage(
-        observers: list[AgentState],
-        targets: list[str],
-        kind: DecisionKind,
-        level: PunishmentLevel,
-        visible: dict[str, str],
-        evidence_for: dict[str, str],
-    ) -> list[PunishmentEvent]:
-        pairs = [(obs, by_id[t]) for obs in observers for t in targets]
-        contexts = [
-            _base_context(
-                observer,
-                kind,
-                iteration=iteration,
-                location=location,
-                roster=_roster(group, observer, visible),
-                params=params,
-                target_name=target.name,
-                evidence=evidence_for[target.agent_id],
-            )
-            for observer, target in pairs
-        ]
-        decisions = _punish_decisions(backend, contexts, error_policy)
-        stage_events = []
-        for (observer, target), decision in zip(pairs, decisions):
-            if decision.choice != "punish":
-                continue
-            cost_k, cost_p = _event_costs(decision, params)
-            stage_events.append(
-                PunishmentEvent(
-                    iteration=iteration,
-                    punisher_id=observer.agent_id,
-                    target_id=target.agent_id,
-                    level=level,
-                    cost_to_punisher=cost_k,
-                    cost_to_target=cost_p,
-                )
-            )
-        return stage_events
-
-    def action_summary(extra_events: Sequence[PunishmentEvent]) -> dict[str, str]:
-        summary = {
-            a.agent_id: f"ordered the {orders[a.agent_id].value} meal" for a in group
-        }
-        for e in list(round1_events) + list(extra_events):
-            summary[e.punisher_id] += f"; scolded {names[e.target_id]}"
-        return summary
-
     round1_pairs = {(e.punisher_id, e.target_id) for e in round1_events}
     unpunished_defectors = {
-        a_id: sorted(names[d] for d in defectors if (a_id, d) not in round1_pairs)
+        a_id: tuple(sorted(names[d] for d in defectors if (a_id, d) not in round1_pairs))
         for a_id in np1
     }
 
     # 2a: everyone outside np1 and the defector set judges each np1 member.
     observers_2a = [a for a in group if a.agent_id not in np1 | defectors]
-    targets_2a = [a_id for a_id in group_order if a_id in np1]
-    evidence_2a = {
-        t: f"{names[t]} saw {_join(unpunished_defectors[t])} order premium and did not scold them."
-        for t in targets_2a
-    }
-    events_2a = run_stage(
-        observers_2a,
-        targets_2a,
+    targets_2a = [a for a in group if a.agent_id in np1]
+    events_2a = _punish_stage(
+        [(observer, target) for observer in observers_2a for target in targets_2a],
         DecisionKind.PUNISH_NON_PUNISHER,
         PunishmentLevel.NON_PUNISHER,
-        action_summary(()),
-        evidence_2a,
+        _seen(group, orders, round1_events),
+        unpunished_defectors,
+        backend, params, iteration=iteration, location=location, error_policy=error_policy,
     )
 
     # 2b: whoever spared a non-punisher in 2a is a meta-non-punisher.
@@ -359,24 +326,18 @@ def metanorm_round_2(
     if not np2:
         return events_2a
     spared = {
-        a_id: sorted(
-            names[t] for t in np1 if (a_id, t) not in punished_2a
-        )
+        a_id: tuple(sorted(names[t] for t in np1 if (a_id, t) not in punished_2a))
         for a_id in np2
     }
     observers_2b = [a for a in group if a.agent_id not in np1 | np2 | defectors]
-    targets_2b = [a_id for a_id in group_order if a_id in np2]
-    evidence_2b = {
-        t: f"{names[t]} let {_join(spared[t])} off without a scolding for ignoring defection."
-        for t in targets_2b
-    }
-    events_2b = run_stage(
-        observers_2b,
-        targets_2b,
+    targets_2b = [a for a in group if a.agent_id in np2]
+    events_2b = _punish_stage(
+        [(observer, target) for observer in observers_2b for target in targets_2b],
         DecisionKind.PUNISH_META_NON_PUNISHER,
         PunishmentLevel.META_NON_PUNISHER,
-        action_summary(events_2a),
-        evidence_2b,
+        _seen(group, orders, [*round1_events, *events_2a]),
+        spared,
+        backend, params, iteration=iteration, location=location, error_policy=error_policy,
     )
     return events_2a + events_2b
 
@@ -547,11 +508,3 @@ def _replay(
         if t in outcome.converted:
             agent.r1_punished = True
     return {a: outcome.choices[t] for a, t in seats}, tuple(events)
-
-
-def _join(names: Sequence[str]) -> str:
-    if not names:
-        return "nobody"
-    if len(names) == 1:
-        return names[0]
-    return ", ".join(names[:-1]) + " and " + names[-1]

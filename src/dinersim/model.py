@@ -34,32 +34,6 @@ STRATEGY_ORDER: tuple[Strategy, ...] = (
     Strategy.RELUCTANT_COOPERATOR,
 )
 
-# Natural-language strategy descriptions used as prompt context. These are the
-# behavioural contracts the rule oracle implements.
-STRATEGY_DESCRIPTIONS: dict[Strategy, str] = {
-    Strategy.COOPERATOR_PUNISHER: (
-        "You always order the budget meal. Whenever another diner orders the "
-        "premium meal, you scold them for pushing their cost onto the table. "
-        "You do not scold anyone for anything other than ordering premium."
-    ),
-    Strategy.RELUCTANT_COOPERATOR: (
-        "You order the premium meal to maximise your own enjoyment, until the "
-        "first time you are scolded for it. From then on you always order the "
-        "budget meal. You never scold anyone yourself."
-    ),
-    Strategy.EASY_GOING_COOPERATOR: (
-        "You always order the budget meal, and you never scold anyone, no "
-        "matter what they do."
-    ),
-    Strategy.MORALIST: (
-        "You always order the budget meal. You scold diners who order the "
-        "premium meal, you scold diners who failed to scold a premium "
-        "orderer, and you scold diners who failed to scold those bystanders "
-        "in turn."
-    ),
-}
-
-
 class MealChoice(str, Enum):
     BUDGET = "budget"
     PREMIUM = "premium"

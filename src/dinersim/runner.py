@@ -13,11 +13,11 @@ import json
 import logging
 import operator
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -223,6 +223,27 @@ class BatchSummary:
 # requests, so more workers than this add thread overhead, not speed.
 MAX_JOBS = 32
 
+# Seeds submitted to the pool per worker and not yet handed to the caller.
+# Twice the workers keeps every thread busy while the caller writes a run,
+# and bounds the finished runs waiting in memory.
+AHEAD_PER_WORKER = 2
+
+
+def _ordered_runs(run: Callable[[int], RunResult], seeds: Sequence[int], workers: int) -> Iterator[RunResult]:
+    """``map(run, seeds)`` on ``workers`` threads, with at most
+    ``AHEAD_PER_WORKER * workers`` seeds submitted and not yet yielded."""
+    if workers <= 1:
+        yield from map(run, seeds)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for seed in seeds:
+            if len(pending) == AHEAD_PER_WORKER * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(run, seed))
+        while pending:
+            yield pending.popleft().result()
+
 
 def run_replications(
     config: SimulationConfig,
@@ -242,7 +263,8 @@ def run_replications(
     thread, in seed-list order, and what it returns becomes the row's
     ``log_path``; the run is then dropped, so the batch keeps only its rows.
     Runs go to a thread pool of ``min(jobs, len(seeds), MAX_JOBS)`` workers
-    when that exceeds one.
+    when that exceeds one, at most ``AHEAD_PER_WORKER`` seeds per worker
+    ahead of the run being handed on.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -253,19 +275,17 @@ def run_replications(
         return run_simulation(replace(config, seed=seed), backend, early_stop=early_stop)
 
     rows = []
-    workers = min(jobs, len(seeds), MAX_JOBS)
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for result in (pool.map if pool else map)(one, seeds):
-            rows.append(
-                BatchRow(
-                    seed=result.handle.seed,
-                    run_id=result.handle.run_id,
-                    status=result.handle.status,
-                    iterations_executed=result.handle.iterations_executed,
-                    convergence_iteration=result.convergence_iteration,
-                    final_census=result.final_census,
-                    log_path=on_run(result) if on_run else None,
-                    error=result.error,
-                )
+    for result in _ordered_runs(one, seeds, min(jobs, len(seeds), MAX_JOBS)):
+        rows.append(
+            BatchRow(
+                seed=result.handle.seed,
+                run_id=result.handle.run_id,
+                status=result.handle.status,
+                iterations_executed=result.handle.iterations_executed,
+                convergence_iteration=result.convergence_iteration,
+                final_census=result.final_census,
+                log_path=on_run(result) if on_run else None,
+                error=result.error,
             )
+        )
     return BatchSummary(rows=rows)

@@ -114,19 +114,29 @@ def test_suite_save_load_round_trip(tmp_path):
 
 
 def test_suite_with_explicit_nulls_still_loads(tmp_path):
-    # Earlier versions wrote every optional context field, null or not.
+    # The writer leaves out None fields; a suite that spells them as null loads the same.
     data = to_data(build_scenario_suite())
     for item in data:
-        for key in ("punishment_p", "punishment_k", "menu_description", "target_name", "evidence"):
+        for key in ("punishment_p", "punishment_k", "menu", "target_name"):
             item["ctx"].setdefault(key, None)
         for entry in item["ctx"]["roster"]:
-            entry.setdefault("visible_action", None)
+            entry.setdefault("order", None)
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(data, indent=2))
     assert load_suite(path) == build_scenario_suite()
 
 
-@pytest.mark.parametrize("where, key", [("", "difficulty"), ("ctx", "mood"), ("roster", "age")])
+# The ctx and roster keys after "mood" and "age" held prompt prose in suites
+# written before contexts became structural; such a suite must be regenerated.
+@pytest.mark.parametrize("where, key", [
+    ("", "difficulty"),
+    ("ctx", "mood"),
+    ("roster", "age"),
+    ("ctx", "evidence"),
+    ("ctx", "menu_description"),
+    ("ctx", "actor_strategy_description"),
+    ("roster", "visible_action"),
+])
 def test_suite_unknown_key_rejected(tmp_path, where, key):
     data = to_data(build_scenario_suite()[:3])
     target = {"": data[1], "ctx": data[1]["ctx"], "roster": data[1]["ctx"]["roster"][0]}[where]

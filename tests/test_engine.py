@@ -313,31 +313,61 @@ class TestDecisionContexts:
             self.contexts.append(ctx)
             return oracle_decide(ctx)
 
-    def test_evidence_names_the_unpunished_parties(self):
+    def contexts_by_kind(self, labels):
         recorder = self.Recorder()
-        run_round(["M", "P", "E", "R1"], backend=recorder)
+        run_round(labels, backend=recorder)
         by_kind = {}
         for ctx in recorder.contexts:
             by_kind.setdefault(ctx.kind, []).append(ctx)
+        return by_kind
 
-        defect = by_kind[DecisionKind.PUNISH_DEFECTOR]
-        assert all("ordered the premium meal" in ctx.evidence for ctx in defect)
-        assert all(ctx.target_name == "a4" for ctx in defect)
-        # non-punisher evidence lists the defector E failed to scold
-        np1 = by_kind[DecisionKind.PUNISH_NON_PUNISHER]
-        assert all(ctx.target_name == "a3" and "a4" in ctx.evidence for ctx in np1)
-        # meta evidence lists the non-punisher P let off
-        np2 = by_kind[DecisionKind.PUNISH_META_NON_PUNISHER]
-        assert all(ctx.target_name == "a2" and "a3" in ctx.evidence for ctx in np2)
+    def test_evidence_names_the_unpunished_parties(self):
+        # Two unpunished R1 defect; E spares both, P spares E, and M judges.
+        by_kind = self.contexts_by_kind(["M", "P", "E", "R1", "R1"])
+        spared = {
+            kind: {(ctx.target_name, ctx.spared) for ctx in contexts}
+            for kind, contexts in by_kind.items()
+            if kind is not DecisionKind.ORDER
+        }
+        assert spared == {
+            DecisionKind.PUNISH_DEFECTOR: {("a4", ()), ("a5", ())},
+            DecisionKind.PUNISH_NON_PUNISHER: {("a3", ("a4", "a5"))},
+            DecisionKind.PUNISH_META_NON_PUNISHER: {("a2", ("a3",))},
+        }
 
     def test_orders_are_simultaneous_and_unobserved(self):
-        recorder = self.Recorder()
-        run_round(["M", "P", "E", "R1"], backend=recorder)
-        for ctx in recorder.contexts:
-            if ctx.kind is DecisionKind.ORDER:
-                assert all(entry.visible_action is None for entry in ctx.roster)
-            else:
-                assert all(entry.visible_action is not None for entry in ctx.roster)
+        by_kind = self.contexts_by_kind(["M", "P", "E", "R1"])
+        orders = {"a1": MealChoice.BUDGET, "a2": MealChoice.BUDGET, "a3": MealChoice.BUDGET,
+                  "a4": MealChoice.PREMIUM}
+        assert set(by_kind) == set(DecisionKind)
+        for kind, contexts in by_kind.items():
+            for ctx in contexts:
+                assert [entry.name for entry in ctx.roster] == [a for a in orders if a != ctx.actor_name]
+                if kind is DecisionKind.ORDER:
+                    assert ctx.menu == DEFAULT_MENU and ctx.target_name is None
+                    assert all(entry.order is None and entry.scolded == () for entry in ctx.roster)
+                else:
+                    assert ctx.menu is None
+                    assert all(entry.order is orders[entry.name] for entry in ctx.roster)
+
+    def test_rosters_show_each_stage_the_scolds_before_it_in_event_order(self):
+        # R1 defects; M, M and P scold it; E spares it; both M scold E, P
+        # spares E; then both M judge P.
+        by_kind = self.contexts_by_kind(["M", "M", "P", "E", "R1"])
+
+        def scolds(ctx):
+            return {entry.name: entry.scolded for entry in ctx.roster}
+
+        assert all(
+            entry.scolded == () for ctx in by_kind[DecisionKind.PUNISH_DEFECTOR] for entry in ctx.roster
+        )
+        stage_2a = by_kind[DecisionKind.PUNISH_NON_PUNISHER]
+        assert [(ctx.actor_name, ctx.target_name) for ctx in stage_2a] == [("a1", "a4"), ("a2", "a4"), ("a3", "a4")]
+        assert scolds(stage_2a[0]) == {"a2": ("a5",), "a3": ("a5",), "a4": (), "a5": ()}
+        stage_2b = by_kind[DecisionKind.PUNISH_META_NON_PUNISHER]
+        assert [(ctx.actor_name, ctx.target_name) for ctx in stage_2b] == [("a1", "a3"), ("a2", "a3")]
+        assert scolds(stage_2b[0]) == {"a2": ("a5", "a4"), "a3": ("a5",), "a4": (), "a5": ()}
+        assert scolds(stage_2b[1]) == {"a1": ("a5", "a4"), "a3": ("a5",), "a4": (), "a5": ()}
 
 
 class TestErrorPolicy:

@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from dinersim.backends.accuracy import build_scenario_suite
 from dinersim.backends.base import (
+    Decision,
+    DecisionBackend,
+    DecisionContext,
     DecisionKind,
     ParseError,
     PromptRenderError,
+    RosterEntry,
     SchemaError,
     TransportError,
 )
 from dinersim.backends.llm import LlmBackend, load_templates, parse_reply, render_prompt
-from dinersim.model import BackendConfig, PunishmentMode
+from dinersim.backends.oracle import oracle_decide
+from dinersim.model import BackendConfig, MealChoice, PunishmentMode, paper_preset
+from dinersim.runner import run_simulation
 
 from llm_fixture import FixtureServer
 
@@ -98,6 +106,40 @@ class TestPromptRendering:
             assert "$" not in prompt  # no unbound placeholders slipped through
             assert scenario.ctx.actor_name in prompt
             assert f"[{scenario.ctx.actor_strategy.value}]" in prompt
+
+    def test_roster_line_lists_the_order_then_each_scold(self, punish_ctx):
+        entry = RosterEntry(name="Bo Lindqvist", order=MealChoice.BUDGET,
+                            scolded=("Farid Khan", "Carmen Diaz"))
+        prompt = render_prompt(replace(punish_ctx, roster=(entry,)), load_templates())
+        assert "\n- Bo Lindqvist: ordered the budget meal; scolded Farid Khan; scolded Carmen Diaz\n" in prompt
+
+    @pytest.mark.parametrize("spared, joined", [
+        (("Bo Lindqvist",), "Bo Lindqvist"),
+        (("Bo Lindqvist", "Carmen Diaz"), "Bo Lindqvist and Carmen Diaz"),
+        (("Ann Ito", "Bo Lindqvist", "Carmen Diaz"), "Ann Ito, Bo Lindqvist and Carmen Diaz"),
+    ])
+    def test_spared_names_are_joined(self, suite, spared, joined):
+        templates = load_templates()
+        evidence = {
+            DecisionKind.PUNISH_NON_PUNISHER: f"Farid Khan saw {joined} order premium and did not scold them.",
+            DecisionKind.PUNISH_META_NON_PUNISHER: (
+                f"Farid Khan let {joined} off without a scolding for ignoring defection."
+            ),
+        }
+        for kind, sentence in evidence.items():
+            ctx = next(s.ctx for s in suite if s.ctx.kind is kind)
+            assert f"\n{sentence}\n" in render_prompt(replace(ctx, spared=spared), templates)
+
+    def test_backend_decided_punishment_note(self, punish_ctx):
+        ctx = replace(punish_ctx, punishment_mode=PunishmentMode.BACKEND_DECIDED,
+                      punishment_p=None, punishment_k=None)
+        prompt = render_prompt(ctx, load_templates())
+        assert (
+            "\nThere is no fixed penalty scale here: if you scold someone, you choose "
+            "how costly it is for them (p) and for you (k).\n"
+        ) in prompt
+        assert "House rule" not in prompt
+        assert '"severity": {"p": number, "k": number} (required when punishing)' in prompt
 
     def test_unbound_placeholder_fails_before_network(self, tmp_path, order_ctx):
         for name in ("order", "punish_defector", "punish_non_punisher", "punish_meta_non_punisher"):
@@ -252,3 +294,50 @@ class TestLlmDecide:
                 backend.decide(order_ctx)
         assert "super-secret-token" not in caplog.text
         assert "Bearer ***" in caplog.text
+
+
+# sha256 of the prompts rendered with the default templates, concatenated in
+# the order they were rendered: over the scenario suite, and over every
+# decision of the preset runs in test_run_prompts_match_the_recorded_digest.
+# Recorded while the engine still wrote the prompt sentences into each
+# context; moving that prose into the LLM backend must not change a byte.
+SUITE_PROMPTS_DIGEST = "973cc9517e3c03e3a3948805fd36ae514aae9e31fb5da27bbbc02e22783a0b1d"
+RUN_PROMPTS_DIGEST = "f193f1addb9b20d58f9d382be21d5e0ae831d11d926056dff2a79d94d0413a8e"
+
+
+class PromptRecorder(DecisionBackend):
+    """Renders every context it is asked and answers like the rule oracle;
+    in backend-decided mode it punishes with severity (2.5, 1.0)."""
+
+    name = "prompt-recorder"
+
+    def __init__(self):
+        self.templates = load_templates()
+        self.prompts: list[str] = []
+
+    def decide(self, ctx: DecisionContext) -> Decision:
+        self.prompts.append(render_prompt(ctx, self.templates))
+        if ctx.punishment_mode is PunishmentMode.EXPLICIT:
+            return oracle_decide(ctx)
+        choice = oracle_decide(replace(ctx, punishment_mode=PunishmentMode.EXPLICIT)).choice
+        return Decision(choice=choice, severity=(2.5, 1.0) if choice == "punish" else None)
+
+
+def prompts_digest(prompts: list[str]) -> str:
+    return hashlib.sha256("".join(prompts).encode("utf-8")).hexdigest()
+
+
+def test_suite_prompts_match_the_recorded_digest():
+    templates = load_templates()
+    prompts = [render_prompt(scenario.ctx, templates) for scenario in build_scenario_suite()]
+    assert len(prompts) == 60
+    assert prompts_digest(prompts) == SUITE_PROMPTS_DIGEST
+
+
+def test_run_prompts_match_the_recorded_digest():
+    recorder = PromptRecorder()
+    for combination, punishment, seed in product((1, 2), ("3:1", "6:1", None), range(8)):
+        config = paper_preset(combination, punishment, seed, backend=BackendConfig(kind="llm"))
+        run_simulation(config, recorder)
+    assert len(recorder.prompts) == 5233
+    assert prompts_digest(recorder.prompts) == RUN_PROMPTS_DIGEST

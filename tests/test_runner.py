@@ -4,6 +4,7 @@ import gc
 import hashlib
 import sys
 import weakref
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,7 @@ from dinersim.model import (
 from dinersim.reporting import event_log_lines
 from dinersim.runner import (
     MAX_JOBS,
+    RunResult,
     RunStatus,
     assign_locations,
     derive_streams,
@@ -229,13 +231,22 @@ class TestRunReplications:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_runs_stream_through_on_run(self, oracle, jobs):
-        seeds = [5, 3, 8, 1, 9, 2, 7, 4]
+        # More seeds than the pool may have submitted at once, so the window binds.
+        seeds = [5, 3, 8, 1, 9, 2, 7, 4] + list(range(10, 22))
         seen = []  # (seed, weak reference to its result), in callback order
+
+        def results_alive():
+            return sum(type(obj) is RunResult for obj in gc.get_objects())
+
+        alive_before = results_alive()
 
         def on_run(result):
             gc.collect()
             if jobs == 1:
                 assert [seed for seed, ref in seen if ref() is not None] == []
+            else:
+                # this run plus those submitted after it and not yet handed on
+                assert results_alive() - alive_before <= runner.AHEAD_PER_WORKER * jobs
             seen.append((result.handle.seed, weakref.ref(result)))
 
         summary = run_replications(oracle_preset(), oracle, seeds, jobs=jobs, on_run=on_run)
@@ -329,7 +340,8 @@ class TestGroupMemoParity:
 
 
 class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ThreadPoolExecutor: records max_workers, runs each
+    submitted call at once."""
 
     sizes: list[int] = []
 
@@ -342,8 +354,10 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestReplicationJobs:
