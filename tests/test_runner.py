@@ -238,6 +238,7 @@ class TestRunReplications:
         def results_alive():
             return sum(type(obj) is RunResult for obj in gc.get_objects())
 
+        gc.collect()  # count the baseline the way each callback counts
         alive_before = results_alive()
 
         def on_run(result):
