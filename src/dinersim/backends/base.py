@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -122,8 +123,8 @@ def check_decision(decision: Decision, ctx: DecisionContext) -> Decision:
         raise SchemaError("severity supplied but not requested in this mode")
     if decision.severity is not None:
         p, k = decision.severity
-        if p < 0 or k < 0:
-            raise SchemaError(f"severity values must be >= 0, got p={p}, k={k}")
+        if not (math.isfinite(p) and math.isfinite(k)) or p < 0 or k < 0:
+            raise SchemaError(f"severity values must be finite and >= 0, got p={p}, k={k}")
     return decision
 
 

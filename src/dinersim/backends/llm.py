@@ -25,7 +25,6 @@ from string import Template
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-import requests
 
 from ..model import BackendConfig, MenuConfig, PunishmentMode, Strategy
 from .base import (
@@ -190,7 +189,7 @@ def parse_reply(content: str, ctx: DecisionContext) -> Decision:
         text = text.strip()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise ParseError(f"reply is not a JSON object: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"reply must be a JSON object, got {type(data).__name__}")
@@ -214,7 +213,10 @@ def parse_reply(content: str, ctx: DecisionContext) -> Decision:
             or not all(isinstance(raw[key], (int, float)) and not isinstance(raw[key], bool) for key in ("p", "k"))
         ):
             raise SchemaError('severity must be an object {"p": number, "k": number}')
-        severity = (float(raw["p"]), float(raw["k"]))
+        try:
+            severity = (float(raw["p"]), float(raw["k"]))
+        except OverflowError as exc:  # an integer literal beyond float range
+            raise SchemaError(f"severity values must be finite: {exc}") from exc
 
     rationale = data.get("reasoning", "")
     if not isinstance(rationale, str):
@@ -254,6 +256,10 @@ class LlmBackend(DecisionBackend):
         self.rng = rng
         self.trace = trace
         self.templates = load_templates(self.settings.template_dir)
+        # The HTTP stack loads with the first LLM backend, not with the
+        # package: oracle-only commands start without it, and an LLM run
+        # pays for it here in set-up rather than in its first request.
+        import requests  # noqa: F401
 
     def for_run(self, rng: np.random.Generator) -> "LlmBackend":
         clone = copy.copy(self)
@@ -306,6 +312,8 @@ class LlmBackend(DecisionBackend):
 
     def _complete(self, messages: list[dict[str, str]]) -> str:
         """One chat completion with bounded transport retries."""
+        import requests  # loaded by __init__; looked up per call so a wrapper on requests.post sees it
+
         url = f"{self.base_url}/chat/completions"
         body = {
             "model": self.model,

@@ -23,6 +23,7 @@ from .model import (
     BackendConfig,
     ConfigError,
     STRATEGY_ORDER,
+    SimulationConfig,
     paper_preset,
     seed_in_range,
     validate_config,
@@ -83,9 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     preset.add_argument("--out", required=True, help="where to write the config file")
     preset.set_defaults(func=cmd_preset)
 
-    replicate = sub.add_parser("replicate", help="run a seeded replication batch of a preset")
-    replicate.add_argument("--combination", required=True, type=int, choices=[1, 2])
-    replicate.add_argument("--punishment", required=True, choices=["none", "3:1", "6:1"])
+    replicate = sub.add_parser("replicate",
+                               help="run a seeded replication batch of a preset or a config file")
+    replicate.add_argument("--combination", type=int, choices=[1, 2],
+                           help="preset to run, with --punishment (or give --config)")
+    replicate.add_argument("--punishment", choices=["none", "3:1", "6:1"])
+    replicate.add_argument("--config", default=None,
+                           help="JSON config file to run instead of a preset; "
+                           "its seed is replaced by each batch seed")
     replicate.add_argument("--backend", required=True, choices=["oracle", "llm"])
     seeds = replicate.add_mutually_exclusive_group(required=True)
     seeds.add_argument("--seeds", type=int, help="run seeds 0..N-1")
@@ -118,6 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=cmd_report)
 
     return parser
+
+
+def config_from_file(path: str, backend_kind: str, seed: int | None = None) -> SimulationConfig:
+    """The validated config in ``path``, its backend kind set to ``backend_kind``
+    and, when given, its seed to ``seed``."""
+    config = load_config(path)
+    if seed is not None:
+        config = replace(config, seed=seed)
+    return validate_config(replace(config, backend=replace(config.backend, kind=backend_kind)))
 
 
 def make_backend(settings: BackendConfig, trace: bool):
@@ -153,11 +168,7 @@ def print_census(census) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    config = replace(config, backend=replace(config.backend, kind=args.backend))
-    validate_config(config)
+    config = config_from_file(args.config, args.backend, args.seed)
     backend = make_backend(config.backend, args.trace_llm)
     result = run_simulation(config, backend, early_stop=args.early_stop)
     write_run_outputs(result, Path(args.out))
@@ -212,6 +223,11 @@ def read_seed_list(path: str) -> list[int]:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
+    preset_flags = (args.combination, args.punishment)
+    if args.config is not None and preset_flags != (None, None):
+        raise ConfigError("give either --config or --combination with --punishment, not both")
+    if args.config is None and None in preset_flags:
+        raise ConfigError("give --config, or both --combination and --punishment")
     if args.seed_list is not None:
         seeds = read_seed_list(args.seed_list)
     else:
@@ -220,13 +236,15 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         print("error: no seeds to run", file=sys.stderr)
         return EXIT_CONFIG
 
-    config = paper_preset(
-        args.combination,
-        None if args.punishment == "none" else args.punishment,
-        seeds[0],
-        backend=BackendConfig(kind=args.backend),
-    )
-    validate_config(config)
+    if args.config is not None:
+        config = config_from_file(args.config, args.backend, seeds[0])
+    else:
+        config = validate_config(paper_preset(
+            args.combination,
+            None if args.punishment == "none" else args.punishment,
+            seeds[0],
+            backend=BackendConfig(kind=args.backend),
+        ))
     backend = make_backend(config.backend, args.trace_llm)
 
     out_dir = Path(args.out)
@@ -247,11 +265,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_backend(args: argparse.Namespace) -> int:
-    settings = BackendConfig(kind=args.backend)
     if args.config:
-        config = load_config(args.config)
-        config = replace(config, backend=replace(config.backend, kind=args.backend))
-        settings = validate_config(config).backend
+        settings = config_from_file(args.config, args.backend).backend
+    else:
+        settings = BackendConfig(kind=args.backend)
     suite = load_suite(args.suite) if args.suite else build_scenario_suite()
     if args.save_suite:
         save_suite(suite, args.save_suite)

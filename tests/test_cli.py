@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +161,55 @@ class TestReplicate:
         assert code == 0
         rows = (out / "batch_summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["3", "14", "159"]
+
+    def test_config_file_writes_the_same_tree_as_the_preset_flags(self, tmp_path):
+        config = tmp_path / "preset.json"
+        assert main(["preset", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
+                     "--out", str(config)]) == 0
+        batch = tmp_path / "batch"  # the batch summary names each log by this path
+
+        def tree():
+            return {str(p.relative_to(batch)): p.read_bytes() for p in batch.rglob("*") if p.is_file()}
+
+        assert main(["replicate", "--config", str(config), "--backend", "oracle",
+                     "--seeds", "3", "--out", str(batch)]) == 0
+        from_file = tree()
+        shutil.rmtree(batch)
+        assert main(["replicate", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
+                     "--seeds", "3", "--out", str(batch)]) == 0
+        assert len(from_file) == 2 + 3 * 3  # batch summary and stats, three files per run
+        assert from_file == tree()
+
+    @pytest.mark.parametrize("flags", [
+        ["--combination", "1", "--punishment", "6:1", "--config", "CONFIG"],
+        ["--combination", "1", "--config", "CONFIG"],
+        ["--punishment", "6:1", "--config", "CONFIG"],
+        ["--combination", "1"],
+        ["--punishment", "6:1"],
+        [],
+    ])
+    def test_config_file_or_preset_flags_exactly_one(self, oracle_config_path, tmp_path, capsys, flags):
+        flags = [str(oracle_config_path) if flag == "CONFIG" else flag for flag in flags]
+        code = main(["replicate", *flags, "--backend", "oracle", "--seeds", "2",
+                     "--out", str(tmp_path / "batch")])
+        assert code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "batch").exists()
+
+    def test_config_file_backend_settings_reach_the_backend(self, tmp_path, monkeypatch):
+        from llm_fixture import FixtureServer
+
+        settings = BackendConfig(kind="llm", repair_retries=0, backoff_base=0.001, timeout=5.0)
+        config_path = tmp_path / "config.json"
+        save_config(paper_preset(1, "6:1", seed=1, backend=settings), config_path)
+        with FixtureServer(mode="garbage") as server:
+            monkeypatch.setenv("LLM_BASE_URL", server.base_url)
+            monkeypatch.setenv("LLM_MODEL", "fixture-model")
+            code = main(["replicate", "--config", str(config_path), "--backend", "llm",
+                         "--seeds", "1", "--out", str(tmp_path / "batch")])
+            sent = len(server.requests)
+        assert code == 3  # the only run aborts on its first unusable reply
+        assert sent == 1  # no repair round-trip; the default two repairs would send 3
 
     @pytest.mark.parametrize("content, problem", [
         (b"3\nabc\n", "line 2: 'abc' is not an integer"),
@@ -378,6 +432,45 @@ class TestCommandsAgree:
                      "--out", str(tmp_path / "rebuilt")]) == 0
         for name in ("census.csv", "trend.svg"):
             assert (tmp_path / "rebuilt" / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+# Run in a fresh interpreter: the test process has long since loaded the HTTP stack.
+ORACLE_COMMANDS_WITHOUT_HTTP = """
+import sys
+from pathlib import Path
+
+import dinersim
+import dinersim.cli as cli
+
+out = Path(sys.argv[1])
+assert cli.main(["preset", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
+                 "--out", str(out / "cfg.json")]) == 0
+assert cli.main(["simulate", "--config", str(out / "cfg.json"), "--backend", "oracle",
+                 "--out", str(out / "sim")]) == 0
+assert cli.main(["replicate", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
+                 "--seeds", "2", "--out", str(out / "batch")]) == 0
+assert cli.main(["report", "--log", str(out / "sim" / "events.jsonl"), "--out", str(out / "rebuilt")]) == 0
+assert cli.main(["eval-backend", "--backend", "oracle", "--out", str(out / "accuracy.json")]) == 0
+loaded = sorted(name for name in ("requests", "urllib3") if name in sys.modules)
+assert not loaded, f"oracle commands loaded {loaded}"
+
+dinersim.LlmBackend(base_url="http://127.0.0.1:9", model="m")
+assert "requests" in sys.modules, "building an LlmBackend did not load requests"
+"""
+
+
+class TestStartup:
+    def test_oracle_commands_never_load_the_http_client(self, tmp_path):
+        import dinersim
+
+        env = dict(os.environ)
+        package_root = str(Path(dinersim.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", ORACLE_COMMANDS_WITHOUT_HTTP, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:

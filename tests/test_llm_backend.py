@@ -97,6 +97,24 @@ class TestParseReply:
         )
         assert decision.severity == (4.0, 1.0)
 
+    @pytest.mark.parametrize("bad", ["-1", "NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+    def test_negative_or_non_finite_severity_rejected(self, punish_ctx, bad):
+        ctx = replace(
+            punish_ctx,
+            punishment_mode=PunishmentMode.BACKEND_DECIDED,
+            punishment_p=None,
+            punishment_k=None,
+        )
+        for severity in (f'{{"p": {bad}, "k": 1}}', f'{{"p": 4, "k": {bad}}}'):
+            with pytest.raises(SchemaError):
+                parse_reply(f'{{"decision": "punish", "severity": {severity}}}', ctx)
+
+    def test_integer_past_the_digit_limit_is_a_backend_error(self, order_ctx):
+        # ParseError where json enforces the int digit limit (Python >= 3.10.7),
+        # SchemaError (reasoning is not a string) where it does not.
+        with pytest.raises((ParseError, SchemaError)):
+            parse_reply('{"decision": "budget", "reasoning": ' + "9" * 5000 + "}", order_ctx)
+
 
 class TestPromptRendering:
     def test_every_kind_renders_fully(self, suite):
