@@ -150,14 +150,14 @@ def write_census_files(
     write_trend_svg(initial, records, title, run_dir / "trend.svg")
 
 
-def write_run_outputs(result: RunResult, run_dir: Path) -> str:
+def write_run_outputs(result: RunResult, run_dir: Path) -> Path:
     """A run's ``events.jsonl`` plus its census files; returns the log's path."""
     run_dir.mkdir(parents=True, exist_ok=True)
     # Through the module, so that a wrapper the benchmark's tracer puts
     # there sees the call.
     log_path = reporting.write_event_log(result, run_dir / "events.jsonl")
     write_census_files(run_dir, result.handle.run_id, result.initial_census, result.records)
-    return str(log_path)
+    return log_path
 
 
 def print_census(census) -> None:
@@ -251,7 +251,11 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = run_replications(
         config, backend, seeds, jobs=args.jobs, early_stop=args.early_stop,
-        on_run=lambda result: write_run_outputs(result, out_dir / result.handle.run_id),
+        # Each row names its log relative to the batch, so a moved batch still
+        # finds its logs and equal batches are equal byte for byte.
+        on_run=lambda result: write_run_outputs(
+            result, out_dir / result.handle.run_id
+        ).relative_to(out_dir).as_posix(),
     )
     write_batch_summary_csv(summary.rows, out_dir / "batch_summary.csv")
     stats = convergence_stats(summary.rows)

@@ -1,10 +1,13 @@
 """One Diner's Dilemma iteration for a single group.
 
-Pipeline per group: collect orders, settle the shared bill, punishment round
-one (defectors), metanorm round two (non-punishers, then meta-non-punishers),
-then utility accounting. Punishment levels are exclusive: an agent is charged
-as defector, non-punisher, or meta-non-punisher, never more than one, and
-each (punisher, target) pair yields at most one event per iteration.
+Pipeline per group: collect orders, settle the shared bill, punish, then
+utility accounting. Punishment is the metanorm, one rule at three levels:
+every member not yet judged decides whether to punish each current target,
+and whoever spares a target is a target at the next level. The targets are
+the defectors (round 1), then the non-punishers (2a), then the
+meta-non-punishers (2b). Levels are exclusive: an agent is charged as
+defector, non-punisher, or meta-non-punisher, never more than one, and each
+(punisher, target) pair yields at most one event per iteration.
 """
 
 from __future__ import annotations
@@ -172,20 +175,34 @@ def _event_costs(decision: Decision, params: PunishmentParams) -> tuple[float, f
 
 
 def _punish_stage(
-    pairs: Sequence[tuple[AgentState, AgentState]],
+    group: Sequence[AgentState],
+    judged: set[str],
+    targets: Sequence[AgentState],
+    spared_by: dict[str, tuple[str, ...]],
     kind: DecisionKind,
     level: PunishmentLevel,
     seen: dict[str, RosterEntry],
-    spared_by: dict[str, tuple[str, ...]],
     backend: DecisionBackend,
     params: PunishmentParams,
     *,
     iteration: int,
     location: str,
     error_policy: str,
-) -> list[PunishmentEvent]:
-    """Ask each (observer, target) pair's observer whether to punish; the
-    events of those who did, in pair order."""
+) -> tuple[list[PunishmentEvent], dict[str, tuple[str, ...]]]:
+    """One level of the metanorm: each member outside ``judged`` decides
+    whether to punish each of ``targets``, in (observer seat, target seat)
+    order. ``spared_by`` maps a target to the names it spared.
+
+    Returns the events of those who punished, in that order, and the names
+    each observer spared, sorted, for every observer that spared a target:
+    the next level's targets and their ``spared_by``.
+    """
+    pairs = [
+        (observer, target)
+        for observer in group
+        if observer.agent_id not in judged
+        for target in targets
+    ]
     contexts = [
         _base_context(
             observer,
@@ -200,8 +217,10 @@ def _punish_stage(
         for observer, target in pairs
     ]
     events = []
+    spared: dict[str, list[str]] = {}
     for (observer, target), decision in zip(pairs, _punish_decisions(backend, contexts, error_policy)):
         if decision.choice != "punish":
+            spared.setdefault(observer.agent_id, []).append(target.name)
             continue
         cost_k, cost_p = _event_costs(decision, params)
         events.append(
@@ -214,7 +233,7 @@ def _punish_stage(
                 cost_to_target=cost_p,
             )
         )
-    return events
+    return events, {observer_id: tuple(sorted(names)) for observer_id, names in spared.items()}
 
 
 def punishment_round_1(
@@ -226,62 +245,35 @@ def punishment_round_1(
     iteration: int,
     location: str,
     error_policy: str = "abort",
-) -> tuple[list[PunishmentEvent], frozenset[str]]:
+) -> tuple[list[PunishmentEvent], dict[str, tuple[str, ...]]]:
     """Round 1: every non-defector decides, per defector, whether to punish.
 
-    Returns the defection-level events plus the defector set, and flips
-    ``r1_punished`` on every reluctant cooperator that was punished at least
-    once this round. Observer/defector pairs run in canonical group order.
+    Returns the defection-level events plus the defectors each non-punisher
+    spared (see ``_punish_stage``), and flips ``r1_punished`` on every
+    reluctant cooperator that was punished at least once this round.
     """
-    defectors = frozenset(
-        agent_id for agent_id, choice in orders.items() if choice is MealChoice.PREMIUM
-    )
-    by_id = {a.agent_id: a for a in group}
-    ordered_defectors = [agent_id for agent_id in orders if agent_id in defectors]
-    pairs = [
-        (observer, by_id[defector_id])
-        for observer in group
-        if observer.agent_id not in defectors
-        for defector_id in ordered_defectors
-    ]
-    events = _punish_stage(
-        pairs, DecisionKind.PUNISH_DEFECTOR, PunishmentLevel.DEFECTION, _seen(group, orders), {},
+    defectors = [a for a in group if orders[a.agent_id] is MealChoice.PREMIUM]
+    events, spared = _punish_stage(
+        group, {a.agent_id for a in defectors}, defectors, {},
+        DecisionKind.PUNISH_DEFECTOR, PunishmentLevel.DEFECTION, _seen(group, orders),
         backend, params, iteration=iteration, location=location, error_policy=error_policy,
     )
     punished = {e.target_id for e in events}
-    for agent in group:
-        if (
-            agent.agent_id in punished
-            and agent.strategy is Strategy.RELUCTANT_COOPERATOR
-            and not agent.r1_punished
-        ):
+    for agent in defectors:
+        if agent.agent_id in punished and agent.strategy is Strategy.RELUCTANT_COOPERATOR:
             agent.r1_punished = True
-    return events, defectors
+    return events, spared
 
 
-def classify_non_punishers(
-    group: Sequence[AgentState],
-    defectors: frozenset[str],
-    round1_events: Sequence[PunishmentEvent],
-) -> frozenset[str]:
-    """Non-defectors who left at least one defector unpunished in round 1."""
-    if not defectors:
-        return frozenset()
-    punished_by = {
-        (e.punisher_id, e.target_id) for e in round1_events if e.level is PunishmentLevel.DEFECTION
-    }
-    return frozenset(
-        agent.agent_id
-        for agent in group
-        if agent.agent_id not in defectors
-        and any((agent.agent_id, d) not in punished_by for d in defectors)
-    )
+_METANORM_LEVELS = (
+    (DecisionKind.PUNISH_NON_PUNISHER, PunishmentLevel.NON_PUNISHER),
+    (DecisionKind.PUNISH_META_NON_PUNISHER, PunishmentLevel.META_NON_PUNISHER),
+)
 
 
 def metanorm_round_2(
     group: Sequence[AgentState],
-    defectors: frozenset[str],
-    np1: frozenset[str],
+    spared: dict[str, tuple[str, ...]],
     backend: DecisionBackend,
     params: PunishmentParams,
     *,
@@ -291,55 +283,26 @@ def metanorm_round_2(
     location: str,
     error_policy: str = "abort",
 ) -> list[PunishmentEvent]:
-    """Round 2: punish non-punishers (2a), then those who spared them (2b).
+    """Round 2: punish those who spared a defector (2a), then those who
+    spared one of them (2b). ``spared`` is round 1's map of the defectors
+    each non-punisher spared.
 
-    The metanorm stops here; there is no deeper recursion.
+    Every member not yet judged judges each level's targets. The metanorm
+    stops after 2b, or sooner once nobody spared anyone.
     """
-    if not np1:
-        return []
-    names = {a.agent_id: a.name for a in group}
-    round1_pairs = {(e.punisher_id, e.target_id) for e in round1_events}
-    unpunished_defectors = {
-        a_id: tuple(sorted(names[d] for d in defectors if (a_id, d) not in round1_pairs))
-        for a_id in np1
-    }
-
-    # 2a: everyone outside np1 and the defector set judges each np1 member.
-    observers_2a = [a for a in group if a.agent_id not in np1 | defectors]
-    targets_2a = [a for a in group if a.agent_id in np1]
-    events_2a = _punish_stage(
-        [(observer, target) for observer in observers_2a for target in targets_2a],
-        DecisionKind.PUNISH_NON_PUNISHER,
-        PunishmentLevel.NON_PUNISHER,
-        _seen(group, orders, round1_events),
-        unpunished_defectors,
-        backend, params, iteration=iteration, location=location, error_policy=error_policy,
-    )
-
-    # 2b: whoever spared a non-punisher in 2a is a meta-non-punisher.
-    punished_2a = {(e.punisher_id, e.target_id) for e in events_2a}
-    np2 = frozenset(
-        a.agent_id
-        for a in observers_2a
-        if any((a.agent_id, t) not in punished_2a for t in np1)
-    )
-    if not np2:
-        return events_2a
-    spared = {
-        a_id: tuple(sorted(names[t] for t in np1 if (a_id, t) not in punished_2a))
-        for a_id in np2
-    }
-    observers_2b = [a for a in group if a.agent_id not in np1 | np2 | defectors]
-    targets_2b = [a for a in group if a.agent_id in np2]
-    events_2b = _punish_stage(
-        [(observer, target) for observer in observers_2b for target in targets_2b],
-        DecisionKind.PUNISH_META_NON_PUNISHER,
-        PunishmentLevel.META_NON_PUNISHER,
-        _seen(group, orders, [*round1_events, *events_2a]),
-        spared,
-        backend, params, iteration=iteration, location=location, error_policy=error_policy,
-    )
-    return events_2a + events_2b
+    judged = {agent_id for agent_id, choice in orders.items() if choice is MealChoice.PREMIUM}
+    events: list[PunishmentEvent] = []
+    for kind, level in _METANORM_LEVELS:
+        if not spared:
+            break
+        judged |= spared.keys()
+        stage_events, spared = _punish_stage(
+            group, judged, [a for a in group if a.agent_id in spared], spared, kind, level,
+            _seen(group, orders, [*round1_events, *events]),
+            backend, params, iteration=iteration, location=location, error_policy=error_policy,
+        )
+        events += stage_events
+    return events
 
 
 def apply_utilities(
@@ -418,13 +381,12 @@ def run_group_round(
             group, menu, backend, iteration=iteration, location=location, params=params,
         )
         meal_payoffs = settle_bill(orders, menu)
-        round1_events, defectors = punishment_round_1(
+        round1_events, spared = punishment_round_1(
             group, orders, backend, params,
             iteration=iteration, location=location, error_policy=error_policy,
         )
-        np1 = classify_non_punishers(group, defectors, round1_events)
         round2_events = metanorm_round_2(
-            group, defectors, np1, backend, params,
+            group, spared, backend, params,
             orders=orders, round1_events=round1_events,
             iteration=iteration, location=location, error_policy=error_policy,
         )

@@ -34,19 +34,6 @@ def fermi_probability(payoff_a: float, payoff_b: float, beta: float) -> float:
     return e / (1.0 + e)
 
 
-def select_role_model(
-    focal_id: str, population_ids: Sequence[str], rng: np.random.Generator
-) -> str:
-    """Uniform draw over every other agent in the population (both groups)."""
-    others = [agent_id for agent_id in population_ids if agent_id != focal_id]
-    if not others:
-        raise PopulationTooSmall(
-            f"cannot pick a role model for {focal_id!r} in a population of "
-            f"{len(population_ids)}"
-        )
-    return others[int(rng.integers(len(others)))]
-
-
 def imitation_step(
     population: Sequence[AgentState],
     params: ImitationParams,
@@ -55,8 +42,8 @@ def imitation_step(
     """One synchronous imitation sweep over the whole population.
 
     Consumes exactly two draws per agent (role-model index, then the uniform
-    acceptance draw) so the stream is identical on replay; the role model is
-    the one :func:`select_role_model` would pick from the same draw. Agent
+    acceptance draw) so the stream is identical on replay. The role model is
+    uniform over every other agent in the population (both groups). Agent
     ids must be unique, as ``validate_config`` enforces: the role model is
     chosen by position. Adopting the R1 label always resets the punished
     flag: the label is copied, not the role model's private history.
@@ -75,7 +62,7 @@ def imitation_step(
     outcomes = []
     adoptions: list[tuple[AgentState, Strategy]] = []
     for i, focal in enumerate(population):
-        # Uniform over the other n - 1 agents, as select_role_model draws it.
+        # Uniform over the other n - 1 agents: skip the focal seat.
         j = int(integers(n - 1))
         j += j >= i
         focal_payoff, model_payoff = payoffs[i], payoffs[j]

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -166,19 +165,22 @@ class TestReplicate:
         config = tmp_path / "preset.json"
         assert main(["preset", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
                      "--out", str(config)]) == 0
-        batch = tmp_path / "batch"  # the batch summary names each log by this path
+        # Two directories: the batch summary names each log relative to its batch.
+        from_file, from_flags = tmp_path / "from-file", tmp_path / "nested" / "from-flags"
 
-        def tree():
-            return {str(p.relative_to(batch)): p.read_bytes() for p in batch.rglob("*") if p.is_file()}
+        def tree(batch):
+            return {p.relative_to(batch).as_posix(): p.read_bytes() for p in batch.rglob("*") if p.is_file()}
 
         assert main(["replicate", "--config", str(config), "--backend", "oracle",
-                     "--seeds", "3", "--out", str(batch)]) == 0
-        from_file = tree()
-        shutil.rmtree(batch)
+                     "--seeds", "3", "--out", str(from_file)]) == 0
         assert main(["replicate", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
-                     "--seeds", "3", "--out", str(batch)]) == 0
-        assert len(from_file) == 2 + 3 * 3  # batch summary and stats, three files per run
-        assert from_file == tree()
+                     "--seeds", "3", "--out", str(from_flags)]) == 0
+        assert len(tree(from_file)) == 2 + 3 * 3  # batch summary and stats, three files per run
+        assert tree(from_file) == tree(from_flags)
+        rows = (from_file / "batch_summary.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == [
+            f"{row.split(',')[1]}/events.jsonl" for row in rows
+        ]
 
     @pytest.mark.parametrize("flags", [
         ["--combination", "1", "--punishment", "6:1", "--config", "CONFIG"],

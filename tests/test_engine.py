@@ -19,7 +19,6 @@ from dinersim.backends.llm import LlmBackend
 from dinersim.backends.oracle import RuleOracle, oracle_decide
 from dinersim.engine import (
     apply_utilities,
-    classify_non_punishers,
     collect_orders,
     metanorm_round_2,
     punishment_round_1,
@@ -116,10 +115,10 @@ class TestPunishmentRound1:
         group = make_group(["M", "P", "E", "R1"])
         orders = collect_orders(group, DEFAULT_MENU, oracle,
                                iteration=1, location="pub", params=P63)
-        events, defectors = punishment_round_1(
+        events, spared = punishment_round_1(
             group, orders, oracle, P63, iteration=1, location="pub"
         )
-        assert defectors == {"a4"}
+        assert spared == {"a3": ("a4",)}
         assert {(e.punisher_id, e.target_id) for e in events} == {("a1", "a4"), ("a2", "a4")}
         assert all(e.level is PunishmentLevel.DEFECTION for e in events)
         assert group[3].r1_punished is True
@@ -128,20 +127,20 @@ class TestPunishmentRound1:
         group = make_group(["M", "P", "E", "E"])
         orders = collect_orders(group, DEFAULT_MENU, oracle,
                                iteration=1, location="pub", params=P63)
-        events, defectors = punishment_round_1(
+        events, spared = punishment_round_1(
             group, orders, oracle, P63, iteration=1, location="pub"
         )
-        assert events == [] and defectors == frozenset()
+        assert events == [] and spared == {}
 
     def test_no_punishing_strategies_leaves_flags_unset(self, oracle):
         group = make_group(["E", "E", "R1", "R1"])
         orders = collect_orders(group, DEFAULT_MENU, oracle,
                                iteration=1, location="pub", params=P63)
-        events, defectors = punishment_round_1(
+        events, spared = punishment_round_1(
             group, orders, oracle, P63, iteration=1, location="pub"
         )
         assert events == []
-        assert defectors == {"a3", "a4"}
+        assert spared == {"a1": ("a3", "a4"), "a2": ("a3", "a4")}
         assert group[2].r1_punished is False and group[3].r1_punished is False
 
 
@@ -149,10 +148,6 @@ class TestClassifyNonPunishers:
     def test_easygoing_is_nonpunisher(self, oracle):
         group, result = run_round(["M", "P", "E", "R1"])
         assert roles(result)[1] == {"a3"}
-
-    def test_empty_without_defection(self):
-        group = make_group(["M", "P", "E", "E"])
-        assert classify_non_punishers(group, frozenset(), []) == frozenset()
 
     def test_converted_r1_counts_as_nonpunisher(self, oracle):
         # a3 is a converted R1 (cooperating, never punishes); a4 defects.
@@ -179,7 +174,7 @@ class TestMetanormRound2:
     def test_no_round_two_without_np1(self, oracle):
         group = make_group(["M", "P"])
         events = metanorm_round_2(
-            group, frozenset(), frozenset(), oracle, P63,
+            group, {}, oracle, P63,
             orders={"a1": MealChoice.BUDGET, "a2": MealChoice.BUDGET},
             round1_events=[], iteration=1, location="pub",
         )
@@ -272,6 +267,61 @@ class TestBruteForceEquivalence:
                 expected = enumerate_utilities(list(labels), list(orders), p=6.0, k=1.0)
                 got = [result.iteration_utilities[f"a{i}"] for i in range(1, 5)]
                 assert got == expected, (labels, orders)
+
+
+class TestStagesAgainstRoles:
+    class Recorder(ScriptedOrdersBackend):
+        def __init__(self, orders):
+            super().__init__(orders)
+            self.contexts: list[DecisionContext] = []
+
+        def decide(self, ctx: DecisionContext) -> Decision:
+            self.contexts.append(ctx)
+            return super().decide(ctx)
+
+    def test_pairs_and_spared_names_match_the_roles(self, monkeypatch):
+        # The reference reads each stage's sparers off the round's orders and
+        # events (conftest.roles); names equal ids in make_group.
+        returned = []
+
+        def recording_round_1(*args, **kwargs):
+            returned.append(punishment_round_1(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(engine, "punishment_round_1", recording_round_1)
+        for labels in product(["M", "P", "E", "R1"], repeat=4):
+            for orders in product(["budget", "premium"], repeat=4):
+                backend = self.Recorder({f"a{i}": orders[i - 1] for i in range(1, 5)})
+                group, result = run_round(list(labels), backend=backend)
+                defectors, np1, np2 = roles(result)
+                done = {(e.punisher_id, e.target_id, e.level) for e in result.punishment_events}
+
+                def left_unpunished(observer, level, targets):
+                    return tuple(sorted(t for t in targets if (observer, t, level) not in done))
+
+                def judged_by_the_rest(targets, judged):
+                    return [(a, t) for a in result.orders if a not in judged for t in result.orders if t in targets]
+
+                _, spared = returned.pop()
+                assert spared.keys() == np1, (labels, orders)
+                assert spared == {a: left_unpunished(a, PunishmentLevel.DEFECTION, defectors) for a in np1}
+                pairs = {
+                    kind: [(ctx.actor_name, ctx.target_name) for ctx in backend.contexts if ctx.kind is kind]
+                    for kind in DecisionKind
+                }
+                assert pairs[DecisionKind.PUNISH_DEFECTOR] == judged_by_the_rest(defectors, defectors)
+                assert pairs[DecisionKind.PUNISH_NON_PUNISHER] == judged_by_the_rest(np1, defectors | np1)
+                assert pairs[DecisionKind.PUNISH_META_NON_PUNISHER] == judged_by_the_rest(np2, defectors | np1 | np2)
+                for ctx in backend.contexts:
+                    want = {
+                        DecisionKind.ORDER: (),
+                        DecisionKind.PUNISH_DEFECTOR: (),
+                        DecisionKind.PUNISH_NON_PUNISHER: spared.get(ctx.target_name),
+                        DecisionKind.PUNISH_META_NON_PUNISHER: left_unpunished(
+                            ctx.target_name, PunishmentLevel.NON_PUNISHER, np1
+                        ),
+                    }[ctx.kind]
+                    assert ctx.spared == want, (labels, orders, ctx)
 
 
 class TestBackendDecidedSeverity:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from dinersim.imitation import (
     PopulationTooSmall,
     fermi_probability,
     imitation_step,
-    select_role_model,
 )
 from dinersim.model import ImitationOutcome, ImitationParams, Strategy, UtilityBasis, census_of
 
@@ -69,27 +69,34 @@ class TestFermiProbability:
 
 
 class TestSelectRoleModel:
-    def test_population_too_small(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(PopulationTooSmall):
-            select_role_model("a", ["a"], rng)
+    """The role-model draw inside ``imitation_step``; at ``beta = 0`` every
+    payoff gap is erased, so only the draw decides the outcomes."""
+
+    @staticmethod
+    def role_models(rng, sweeps):
+        group = make_group(["M"] * 8)
+        params = ImitationParams(beta=0.0)
+        return [
+            (o.focal_id, o.role_model_id)
+            for _ in range(sweeps)
+            for o in imitation_step(group, params, rng)
+        ]
 
     def test_uniform_over_others(self):
-        rng = np.random.default_rng(42)
+        sweeps = 12_500
+        counts = Counter(self.role_models(np.random.default_rng(42), sweeps))
         ids = [f"a{i}" for i in range(1, 9)]
-        counts = {agent_id: 0 for agent_id in ids}
-        draws = 100_000
-        for _ in range(draws):
-            counts[select_role_model("a1", ids, rng)] += 1
-        assert counts["a1"] == 0
-        for other in ids[1:]:
-            assert counts[other] / draws == pytest.approx(1 / 7, abs=0.01)
+        for focal in ids:
+            assert counts[focal, focal] == 0
+            for other in ids:
+                if other != focal:
+                    assert counts[focal, other] / sweeps == pytest.approx(1 / 7, abs=0.015)
 
     def test_fixed_seed_replays_identically(self):
-        ids = [f"a{i}" for i in range(8)]
-        first = [select_role_model("a0", ids, np.random.default_rng(7)) for _ in range(50)]
-        second = [select_role_model("a0", ids, np.random.default_rng(7)) for _ in range(50)]
+        first = self.role_models(np.random.default_rng(7), 50)
+        second = self.role_models(np.random.default_rng(7), 50)
         assert first == second
+        assert len(set(first)) == 8 * 7  # every ordered pair drawn
 
 
 class TestImitationStep:
@@ -193,8 +200,8 @@ class TestImitationStep:
 
 
 def reference_imitation_step(population, params, rng):
-    """The sweep spelled out from select_role_model and fermi_probability:
-    per agent, one role-model draw and then one acceptance draw."""
+    """The sweep spelled out from fermi_probability: per agent, one
+    role-model draw, uniform over the others, then one acceptance draw."""
     ids = [a.agent_id for a in population]
     per_iteration = params.utility_basis is UtilityBasis.PER_ITERATION
     payoff = {
@@ -204,7 +211,8 @@ def reference_imitation_step(population, params, rng):
     pre_update = {a.agent_id: a.strategy for a in population}
     outcomes, adoptions = [], []
     for focal in population:
-        model_id = select_role_model(focal.agent_id, ids, rng)
+        others = [agent_id for agent_id in ids if agent_id != focal.agent_id]
+        model_id = others[int(rng.integers(len(others)))]
         probability = fermi_probability(payoff[focal.agent_id], payoff[model_id], params.beta)
         draw = float(rng.random())
         outcomes.append(
