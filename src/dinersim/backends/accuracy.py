@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..config_io import load_data, save_data
-from ..model import DEFAULT_MENU, MealChoice, PunishmentMode, Strategy, STRATEGY_ORDER
+from ..model import DEFAULT_MENU, ConfigError, MealChoice, PunishmentMode, Strategy, STRATEGY_ORDER
 from .base import (
     BackendError,
     DecisionBackend,
@@ -194,4 +194,8 @@ def save_suite(suite: Sequence[Scenario], path: str | Path) -> None:
 
 
 def load_suite(path: str | Path) -> list[Scenario]:
-    return list(load_data(tuple[Scenario, ...], path, "suite"))
+    """Read a saved suite; an empty one is a ConfigError, as it measures nothing."""
+    suite = list(load_data(tuple[Scenario, ...], path, "suite"))
+    if not suite:
+        raise ConfigError(f"suite file {path} holds no scenarios")
+    return suite

@@ -456,16 +456,7 @@ def _replay(
                 if costs is None:
                     continue
                 cost_k, cost_p = costs
-                events.append(
-                    PunishmentEvent(
-                        iteration=iteration,
-                        punisher_id=punisher_id,
-                        target_id=target_id,
-                        level=level,
-                        cost_to_punisher=cost_k,
-                        cost_to_target=cost_p,
-                    )
-                )
+                events.append(PunishmentEvent(iteration, punisher_id, target_id, level, cost_k, cost_p))
     for agent, t in zip(group, types):
         if t in outcome.converted:
             agent.r1_punished = True

@@ -71,12 +71,8 @@ def imitation_step(
         adopted = draw < probability
         outcomes.append(
             ImitationOutcome(
-                focal_id=focal.agent_id,
-                role_model_id=population[j].agent_id,
-                payoff_diff=model_payoff - focal_payoff,
-                probability=probability,
-                uniform_draw=draw,
-                adopted=adopted,
+                focal.agent_id, population[j].agent_id, model_payoff - focal_payoff,
+                probability, draw, adopted,
             )
         )
         if adopted:

@@ -2,7 +2,12 @@
 
 Everything config-side is an immutable dataclass so validated configs can be
 shared freely across concurrent replications. Mutable per-run state lives in
-``AgentState`` and is owned by a single run's engine.
+``AgentState`` and is owned by a single run's engine. The run records
+(``PunishmentEvent``, ``ImitationOutcome``, ``GroupRound`` and
+``IterationRecord``) are slotted: a run builds about a hundred of them, and a
+frozen dataclass sets each field through ``object.__setattr__``. They compare
+by value, are unhashable, and are read-only by convention: nothing assigns to
+a record once it is built.
 """
 
 from __future__ import annotations
@@ -196,7 +201,10 @@ class AgentState:
         )
 
 
-@dataclass(frozen=True)
+# Run records, slotted rather than frozen (see the module docstring). The
+# engine builds PunishmentEvent and ImitationOutcome positionally, so their
+# field order is part of how they are built.
+@dataclass(slots=True)
 class PunishmentEvent:
     iteration: int
     punisher_id: str
@@ -206,7 +214,7 @@ class PunishmentEvent:
     cost_to_target: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ImitationOutcome:
     focal_id: str
     role_model_id: str
@@ -216,7 +224,7 @@ class ImitationOutcome:
     adopted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GroupRound:
     """One group's dilemma outcome within a single iteration.
 
@@ -233,7 +241,7 @@ class GroupRound:
     iteration_utilities: dict[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterationRecord:
     iteration: int
     groups: tuple[GroupRound, ...]

@@ -27,7 +27,7 @@ from .model import (
     Strategy,
     STRATEGY_ORDER,
 )
-from .runner import BatchRow, RunResult, RunStatus
+from .runner import BatchRow, RunResult, RunStatus, SeedlessCache
 
 SCHEMA_VERSION = 1
 
@@ -80,6 +80,17 @@ class _Encoded(dict):
         return text
 
 
+def _seedless_config(config) -> dict:
+    data = config_to_dict(config)
+    del data["seed"]
+    return data
+
+
+# The header's config without its seed, made once per batch: the runs of a
+# batch differ only in their seeds.
+_header_config = SeedlessCache(_seedless_config)
+
+
 def event_log_lines(result: RunResult) -> Iterable[str]:
     """Yield the event log line by line, in canonical order.
 
@@ -98,7 +109,8 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
             "status": result.handle.status.value,
             "iterations_executed": result.handle.iterations_executed,
             "initial_census": _census_counts(result.initial_census),
-            "config": config_to_dict(result.config),
+            # The seed is the last field of the config, so it goes back last.
+            "config": {**_header_config(result.config), "seed": result.config.seed},
         }
     )
     ids = _Encoded()
@@ -186,14 +198,15 @@ def _problem(exc: Exception) -> str:
     return str(exc) or type(exc).__name__
 
 
-def _check_header(header: dict) -> None:
+def _check_header(header: dict) -> int:
+    """Check the header line; returns the run's agent count."""
     if header["kind"] != "header":
         raise ValueError("expected the header line first")
     if header["schema"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported event log schema {header['schema']!r}")
     if "run_id" not in header:
         raise KeyError("run_id")
-    _census(header["initial_census"])
+    return sum(_census(header["initial_census"]).values())
 
 
 def _census(counts: dict) -> dict[Strategy, int]:
@@ -239,20 +252,24 @@ def load_event_log(path: str | Path) -> LoadedRun:
     Reads the lines once, in the canonical order that
     :func:`event_log_lines` writes: per iteration, the orders lines,
     the punishment lines in group order, one utilities line keyed in seat
-    order, the imitation lines, then one census line labelled M, P, E, R1.
+    order, one imitation line per agent that ordered (in any order), then
+    one census line labelled M, P, E, R1.
     Each punishment line goes to the group its punisher ordered in, and the
     utilities line is split by each group's orders. Raises
     :class:`EventLogError` for a log it cannot read back: an empty file, a
     line that is not UTF-8 JSON, a wrong header or schema, a missing key, a
-    bad value (such as a census that is not counts of agents, or an
-    iteration that is not an ``int``), an unknown kind, a line out of the
-    canonical order, iterations that do not strictly ascend, an agent
-    ordering in two groups of one iteration, a punisher and target who did
-    not order in one group, a utilities line whose keys differ from the
-    iteration's orders or their seat order, an iteration cut off before its
-    census line, or iterations other than exactly 1 to the header's
-    ``iterations_executed``. ``OSError`` still means the file could not be
-    read at all.
+    bad value (such as a census that is not counts of agents or whose total
+    differs from the header's initial census, or an iteration that is not
+    an ``int``), an unknown kind, a line out of the canonical order,
+    iterations that do not strictly ascend, an agent ordering in two groups
+    of one iteration, a punisher and target who did not order in one group,
+    a utilities line whose keys differ from the iteration's orders or their
+    seat order, an imitation line whose focal agent did not order or already
+    imitated or whose role model is not another agent that ordered, an
+    agent that ordered but has no imitation line, an iteration cut off
+    before its census line, or iterations other than exactly 1 to the
+    header's ``iterations_executed``. ``OSError`` still means the file could
+    not be read at all.
     """
     data = Path(path).read_bytes()
     try:
@@ -264,7 +281,7 @@ def load_event_log(path: str | Path) -> LoadedRun:
     malformed = (KeyError, TypeError, AttributeError, ValueError)
     try:
         header = _decode(lines[0])
-        _check_header(header)
+        population = _check_header(header)
     except malformed as exc:
         raise EventLogError(path, 1, _problem(exc)) from exc
 
@@ -291,7 +308,7 @@ def load_event_log(path: str | Path) -> LoadedRun:
                 # Per group: GroupRound fields and its events; each agent's group.
                 groups: list[tuple[dict, list[PunishmentEvent]]] = []
                 group_of: dict[str, int] = {}
-                imitation: list[ImitationOutcome] = []
+                imitation: dict[str, ImitationOutcome] = {}  # by focal agent
             elif iteration != current:
                 raise ValueError(f"iteration {current} has no census line")
             if rank < reached:
@@ -344,20 +361,37 @@ def load_event_log(path: str | Path) -> LoadedRun:
                 if list(utilities) != list(group_of):
                     raise ValueError(f"utilities keys are not in the seat order of iteration {iteration}")
             elif kind == "imitation":
-                imitation.append(
-                    ImitationOutcome(
-                        focal_id=item["focal"],
-                        role_model_id=item["role_model"],
-                        payoff_diff=item["payoff_diff"],
-                        probability=item["probability"],
-                        uniform_draw=item["uniform_draw"],
-                        adopted=item["adopted"],
-                    )
+                outcome = ImitationOutcome(
+                    focal_id=item["focal"],
+                    role_model_id=item["role_model"],
+                    payoff_diff=item["payoff_diff"],
+                    probability=item["probability"],
+                    uniform_draw=item["uniform_draw"],
+                    adopted=item["adopted"],
                 )
+                focal, role_model = outcome.focal_id, outcome.role_model_id
+                if focal not in group_of:
+                    raise ValueError(f"focal {focal!r} did not order in iteration {iteration}")
+                if focal in imitation:
+                    raise ValueError(f"second imitation line for focal {focal!r} in iteration {iteration}")
+                if role_model == focal or role_model not in group_of:
+                    raise ValueError(
+                        f"role model {role_model!r} is not another agent that ordered in iteration {iteration}"
+                    )
+                imitation[focal] = outcome
             else:
                 counts = item["counts"]
                 if list(counts) != _CENSUS_LABELS:
                     raise ValueError(f"census labels must be M, P, E, R1 in that order, not {list(counts)}")
+                if len(imitation) != len(group_of):
+                    missing = next(a for a in group_of if a not in imitation)
+                    raise ValueError(f"no imitation line for agent {missing!r} in iteration {current}")
+                census = _census(counts)
+                if sum(census.values()) != population:
+                    raise ValueError(
+                        f"census counts total {sum(census.values())}, not the {population} agents "
+                        f"of the header's initial census"
+                    )
                 records.append(
                     IterationRecord(
                         iteration=current,
@@ -369,8 +403,8 @@ def load_event_log(path: str | Path) -> LoadedRun:
                             )
                             for fields, events in groups
                         ),
-                        imitation_outcomes=tuple(imitation),
-                        strategy_census=_census(counts),
+                        imitation_outcomes=tuple(imitation.values()),
+                        strategy_census=census,
                     )
                 )
                 closed, current = current, None

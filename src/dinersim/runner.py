@@ -17,7 +17,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,27 +67,42 @@ class RunResult:
         return census_of(seed.strategy for seed in self.config.agents)
 
 
-# Every config field but the seed, and the last such values run_id_for
-# hashed with their digest. The runs of one batch share these values by
-# identity; holding them keeps them alive, so an identity match is the same
-# frozen document. Equality would not do: 6 == 6.0 but they serialise apart.
+# Every config field but the seed. The runs of one batch share these values
+# by identity, so a SeedlessCache keys on that identity. It holds the values,
+# which keeps them alive, so an identity match is the same frozen document.
+# Equality would not do: 6 == 6.0 but they serialise apart.
 _SEEDLESS_FIELDS = tuple(f.name for f in fields(SimulationConfig) if f.name != "seed")
-_last_digest: tuple[tuple, str] | None = None
+
+
+class SeedlessCache:
+    """``make(config)`` for the last config seen, made again only when one of
+    its seedless field values is a different object. Safe across threads: the
+    entry is one tuple, read and replaced whole."""
+
+    def __init__(self, make: Callable[[SimulationConfig], Any]) -> None:
+        self._make = make
+        self._last: tuple[tuple, Any] | None = None
+
+    def __call__(self, config: SimulationConfig) -> Any:
+        values = tuple(getattr(config, name) for name in _SEEDLESS_FIELDS)
+        last = self._last
+        if last is None or not all(map(operator.is_, values, last[0])):
+            last = self._last = (values, self._make(config))
+        return last[1]
+
+
+def _seedless_digest(config: SimulationConfig) -> str:
+    without_seed = config_to_dict(config)
+    del without_seed["seed"]
+    return hashlib.sha256(json.dumps(without_seed, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+_digest = SeedlessCache(_seedless_digest)
 
 
 def run_id_for(config: SimulationConfig) -> str:
     """Stable identifier from the config content hash plus the seed."""
-    global _last_digest
-    values = tuple(getattr(config, name) for name in _SEEDLESS_FIELDS)
-    cached = _last_digest
-    if cached is None or not all(map(operator.is_, values, cached[0])):
-        without_seed = config_to_dict(config)
-        del without_seed["seed"]
-        digest = hashlib.sha256(
-            json.dumps(without_seed, sort_keys=True).encode("utf-8")
-        ).hexdigest()
-        cached = _last_digest = (values, digest)
-    return f"{cached[1][:10]}-s{config.seed}"
+    return f"{_digest(config)[:10]}-s{config.seed}"
 
 
 def derive_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

@@ -256,6 +256,15 @@ class TestEvalBackend:
                      "--suite", str(suite_path)])
         assert code == 2
 
+    def test_empty_suite_is_config_error(self, tmp_path, capsys):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text("[]\n")
+        code = main(["eval-backend", "--backend", "oracle", "--out", str(tmp_path / "r.json"),
+                     "--suite", str(suite_path)])
+        assert code == 2
+        assert "holds no scenarios" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_every_scenario_rejected_by_transport_is_backend_failure(self, tmp_path, monkeypatch):
         from dinersim.backends.accuracy import build_scenario_suite
         from llm_fixture import FixtureServer
@@ -308,6 +317,13 @@ def orders_line(group: str, *agents: str) -> bytes:
     }).encode() + b"\n"
 
 
+def imitate_line(focal: str, role_model: str) -> bytes:
+    return json.dumps({
+        "kind": "imitation", "iteration": 1, "focal": focal, "role_model": role_model,
+        "payoff_diff": 0.0, "probability": 0.5, "uniform_draw": 0.5, "adopted": False,
+    }).encode() + b"\n"
+
+
 class TestReport:
     def test_rebuilds_outputs_from_log(self, oracle_config_path, tmp_path):
         out = tmp_path / "out"
@@ -329,17 +345,18 @@ class TestReport:
         assert ">X</text>" in (tmp_path / "titled" / "trend.svg").read_text()
         assert (tmp_path / "default" / "trend.svg").read_text() == (out / "trend.svg").read_text()
 
-    HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "initial_census": {"M": 1}})
+    HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "initial_census": {"M": 2}})
     SCOLD = (b'{"kind": "punishment", "iteration": 1, "punisher": "a1", "target": "%s", '
              b'"level": "defection", "cost_to_punisher": 1.0, "cost_to_target": 6.0}\n')
 
     UTILITIES = b'{"kind": "utilities", "iteration": 1, "values": {"a1": 0.5}}\n'
-    CENSUS = b'{"kind": "census", "iteration": 1, "counts": {"M": 1, "P": 0, "E": 0, "R1": 0}}\n'
-    IMITATE = (b'{"kind": "imitation", "iteration": 1, "focal": "a1", "role_model": "a1", '
-               b'"payoff_diff": 0.0, "probability": 0.5, "uniform_draw": 0.5, "adopted": false}\n')
+    CENSUS = b'{"kind": "census", "iteration": 1, "counts": {"M": 2, "P": 0, "E": 0, "R1": 0}}\n'
     # A header saying three iterations ran, and the lines of iterations 1-3.
     RAN_3 = HEADER.replace('"run_id": "r"', '"run_id": "r", "iterations_executed": 3').encode() + b"\n"
-    ITERATION_1 = orders_line("g1", "a1") + UTILITIES + CENSUS
+    # Two agents, each imitating the other: the smallest iteration that can be.
+    ORDERS_2 = (orders_line("g1", "a1", "a2")
+                + b'{"kind": "utilities", "iteration": 1, "values": {"a1": 0.5, "a2": 0.5}}\n')
+    ITERATION_1 = ORDERS_2 + imitate_line("a1", "a2") + imitate_line("a2", "a1") + CENSUS
     ITERATION_2 = ITERATION_1.replace(b'"iteration": 1', b'"iteration": 2')
     ITERATION_3 = ITERATION_1.replace(b'"iteration": 1', b'"iteration": 3')
 
@@ -350,7 +367,7 @@ class TestReport:
         (HEADER.encode() + b'\n{"kind": "orders", "group": "g1"}\n', "line 2", "missing key 'iteration'"),
         (HEADER.encode() + b'\n{"kind": "dessert", "iteration": 1}\n', "line 2", "unknown event kind 'dessert'"),
         (HEADER.encode() + b"\n\xff\xfe\n", "line 2", "not UTF-8"),
-        (HEADER.replace('"M": 1', '"M": "x"').encode(), "line 1", "census counts"),
+        (HEADER.replace('"M": 2', '"M": "x"').encode(), "line 1", "census counts"),
         (HEADER.encode() + b'\n{"kind": "orders", "iteration": 1, "group": "g1", "location": "l", '
          b'"choices": {"a1": "budget"}, "bill_total": 1.0, "meal_payoffs": {"a1": 0.5}}\n',
          "line 2", "iteration 1 has no census line"),
@@ -373,35 +390,47 @@ class TestReport:
          "line 3", "census before the utilities line of iteration 1"),
         (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES + UTILITIES,
          "line 4", "second utilities line of iteration 1"),
-        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + IMITATE + UTILITIES + CENSUS,
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + imitate_line("a1", "a2") + UTILITIES + CENSUS,
          "line 3", "imitation before the utilities line of iteration 1"),
-        (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES + CENSUS + CENSUS,
-         "line 5", "census line of iteration 1 after the census line of iteration 1"),
-        (HEADER.encode() + b"\n"
-         + (orders_line("g1", "a1") + UTILITIES + CENSUS).replace(b'"iteration": 1', b'"iteration": 2')
-         + orders_line("g1", "a1") + UTILITIES + CENSUS,
-         "line 5", "orders line of iteration 1 after the census line of iteration 2"),
+        (HEADER.encode() + b"\n" + ITERATION_1 + CENSUS,
+         "line 7", "census line of iteration 1 after the census line of iteration 1"),
+        (HEADER.encode() + b"\n" + ITERATION_2 + ITERATION_1,
+         "line 7", "orders line of iteration 1 after the census line of iteration 2"),
         (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2")
          + b'{"kind": "utilities", "iteration": 1, "values": {"a2": 0.5, "a1": 0.5}}\n',
          "line 3", "utilities keys are not in the seat order of iteration 1"),
         (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES
-         + CENSUS.replace(b'"M": 1, "P": 0', b'"P": 0, "M": 1'),
+         + CENSUS.replace(b'"M": 2, "P": 0', b'"P": 0, "M": 2'),
          "line 4", "census labels must be M, P, E, R1 in that order"),
         (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES
          + CENSUS.replace(b'"iteration": 1', b'"iteration": 1.0'),
          "line 4", "iteration must be an integer, not 1.0"),
         (RAN_3 + ITERATION_1 + ITERATION_2,
-         "line 7", "iterations are not 1..iterations_executed (3 in the header)"),
+         "line 11", "iterations are not 1..iterations_executed (3 in the header)"),
         (RAN_3, "line 1", "iterations are not 1..iterations_executed (3 in the header)"),
         (RAN_3 + ITERATION_1 + ITERATION_3,
-         "line 7", "iterations are not 1..iterations_executed (3 in the header)"),
+         "line 11", "iterations are not 1..iterations_executed (3 in the header)"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"M": 2', b'"M": 13'),
+         "line 6", "census counts total 13, not the 2 agents of the header's initial census"),
+        (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("a1", "a2") + CENSUS,
+         "line 5", "no imitation line for agent 'a2' in iteration 1"),
+        (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("ghost", "a1"),
+         "line 4", "focal 'ghost' did not order in iteration 1"),
+        (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("a1", "a2") + imitate_line("a1", "a2"),
+         "line 5", "second imitation line for focal 'a1' in iteration 1"),
+        (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("a1", "a1"),
+         "line 4", "role model 'a1' is not another agent that ordered in iteration 1"),
+        (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("a1", "ghost"),
+         "line 4", "role model 'ghost' is not another agent that ordered in iteration 1"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
             "punishment-out-of-group-order", "utilities-missing", "second-utilities",
             "imitation-before-utilities", "second-census", "iterations-not-ascending",
             "utilities-not-in-seat-order", "census-labels-out-of-order", "iteration-not-int",
-            "cut-after-an-iteration", "header-only", "iteration-removed"])
+            "cut-after-an-iteration", "header-only", "iteration-removed", "census-total-differs",
+            "imitation-line-dropped", "ghost-focal", "second-imitation", "self-role-model",
+            "ghost-role-model"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)

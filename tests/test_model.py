@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -22,9 +22,15 @@ from dinersim.model import (
     ConfigValidationError,
     DEFAULT_MENU,
     DilemmaConditionError,
+    GroupRound,
     GroupSpec,
+    ImitationOutcome,
+    IterationRecord,
+    MealChoice,
     MenuConfig,
     PartitionError,
+    PunishmentEvent,
+    PunishmentLevel,
     PunishmentMode,
     PunishmentParams,
     Strategy,
@@ -366,3 +372,35 @@ class TestConfigSerialization:
         labels = {a["strategy"] for a in data["agents"]}
         assert labels <= {"P", "R1", "E", "M"}
         json.dumps(data)  # fully JSON-serializable
+
+
+_EVENT = PunishmentEvent(1, "a1", "a2", PunishmentLevel.DEFECTION, 1.0, 6.0)
+_OUTCOME = ImitationOutcome("a1", "a2", 1.5, 0.8, 0.25, True)
+_GROUP = GroupRound(
+    "g1", "pub", {"a1": MealChoice.BUDGET, "a2": MealChoice.PREMIUM}, 40.0,
+    {"a1": -8.0, "a2": 2.0}, (_EVENT,), {"a1": -9.0, "a2": -4.0},
+)
+_RECORD = IterationRecord(1, (_GROUP,), (_OUTCOME,), census_of([Strategy.MORALIST] * 2))
+
+
+class TestRunRecords:
+    """The run records are slotted, compare by value and are unhashable."""
+
+    @pytest.mark.parametrize("record, name, other", [
+        (_EVENT, "cost_to_target", 3.0),
+        (_OUTCOME, "adopted", False),
+        (_GROUP, "punishment_events", ()),
+        (_RECORD, "imitation_outcomes", ()),
+    ], ids=["PunishmentEvent", "ImitationOutcome", "GroupRound", "IterationRecord"])
+    def test_slotted_value_record(self, record, name, other):
+        cls = type(record)
+        assert vars(cls)["__slots__"] == tuple(f.name for f in fields(cls))
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.undeclared = 1
+        copy = replace(record)
+        assert copy == record and copy is not record
+        assert replace(record, **{name: other}) != record
+        assert repr(record).startswith(f"{cls.__name__}(")
+        with pytest.raises(TypeError):
+            hash(record)

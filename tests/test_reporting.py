@@ -8,11 +8,14 @@ from itertools import cycle
 import numpy as np
 import pytest
 
+import dinersim.reporting as reporting
+from dinersim.config_io import config_to_dict
 from dinersim.model import (
     BackendConfig,
     ImitationOutcome,
     PunishmentEvent,
     PunishmentLevel,
+    PunishmentMode,
     PunishmentParams,
     Strategy,
     paper_preset,
@@ -30,7 +33,15 @@ from dinersim.reporting import (
     write_census_csv,
     write_event_log,
 )
-from dinersim.runner import BatchRow, RunStatus, run_replications, run_simulation
+from dinersim.runner import (
+    BatchRow,
+    RunHandle,
+    RunResult,
+    RunStatus,
+    run_id_for,
+    run_replications,
+    run_simulation,
+)
 
 from conftest import make_config
 
@@ -52,6 +63,42 @@ ROUND_TRIP_CONFIGS = {
     2: oracle_preset(seed=3),
     3: make_config([["M", "P", "E", "R1"], ["R1", "R1", "E", "M"], ["R1", "P", "P", "M"]], seed=3),
 }
+
+
+def header_line(config) -> str:
+    """The header line of a run of ``config`` that ran no iteration."""
+    handle = RunHandle(run_id_for(config), config.seed, RunStatus.COMPLETED, 0)
+    return next(event_log_lines(RunResult(handle, config, [], {}, [], None)))
+
+
+class TestHeaderConfig:
+    def test_header_config_is_config_to_dict(self):
+        """The cached config text equals a fresh ``config_to_dict`` for a
+        config whose p and k are None (left out) and for two that alternate."""
+        explicit = oracle_preset(seed=1)
+        decided = replace(
+            oracle_preset(seed=1),
+            punishment=PunishmentParams(mode=PunishmentMode.BACKEND_DECIDED),
+            backend=BackendConfig(kind="llm"),
+        )
+        assert "p" not in config_to_dict(decided)["punishment"]
+        for config in (explicit, decided, replace(explicit, seed=2), replace(decided, seed=3),
+                       replace(decided, seed=2**64 - 1), explicit):
+            text = json.dumps(config_to_dict(config), separators=(",", ":"), ensure_ascii=False)
+            assert header_line(config).endswith(f',"config":{text}}}')
+
+    def test_config_is_serialised_once_per_batch(self, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config.seed)
+            return config_to_dict(config)
+
+        monkeypatch.setattr(reporting, "config_to_dict", counted)
+        base = oracle_preset(punishment="3:1")
+        for seed in range(5):
+            header_line(replace(base, seed=seed))
+        assert calls == [0]
 
 
 class TestEventLog:
@@ -78,6 +125,7 @@ class TestEventLog:
         mutations = [body[:i] + [body[i + 1], body[i]] + body[i + 2:] for i in range(len(body) - 1)]
         for i in range(len(body)):
             mutations += [body[:i] + body[i + 1:], body[:i + 1] + body[i:]]
+        imitation_lines = sum(line.startswith('{"kind":"imitation"') for line in body)
         path = tmp_path / "events.jsonl"
         accepted = 0
         for lines in mutations:
@@ -88,10 +136,13 @@ class TestEventLog:
             except EventLogError:
                 continue
             accepted += 1
+            # Each agent imitates once an iteration: a dropped or repeated
+            # imitation line is rejected.
+            assert sum(line.startswith('{"kind":"imitation"') for line in lines) == imitation_lines
             rewritten = event_log_lines(replace(result, records=loaded.records))
             assert "".join(f"{line}\n" for line in rewritten) == text
-        # Swapping or dropping punishment lines of one group, or imitation
-        # lines, gives another log that is valid.
+        # Swapping or dropping punishment lines of one group, or swapping
+        # imitation lines, gives another log that is valid.
         assert 0 < accepted < len(mutations)
 
     def test_templated_lines_equal_json_dumps(self, preset_run):
