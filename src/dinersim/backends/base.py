@@ -135,10 +135,11 @@ class DecisionBackend(ABC):
 
     #: A pure backend's decision depends only on ``ctx.kind``,
     #: ``actor_strategy``, ``actor_r1_punished`` and the punishment mode,
-    #: ``p`` and ``k``; it ignores the roster, ``menu``, ``target_name`` and
-    #: ``spared``. The engine then memoises whole group outcomes in the
-    #: backend's ``group_memo`` dict, which a pure backend must provide, so
-    #: the memo is freed with the instance. Failures are never memoised.
+    #: ``p`` and ``k``, by the same rule for every instance of its class; it
+    #: ignores the roster, ``menu``, ``target_name`` and ``spared``. The
+    #: engine then serves its group rounds from one outcome table per
+    #: process, shared by every instance of every pure class and keyed by the
+    #: class (see ``engine.run_group_round``). Failures are never stored.
     pure: bool = False
 
     @abstractmethod

@@ -31,17 +31,10 @@ def oracle_decide(ctx: DecisionContext) -> Decision:
 
 
 class RuleOracle(DecisionBackend):
-    """Reentrant, pure backend around :func:`oracle_decide`.
-
-    ``for_run`` returns the instance itself, so every run given one oracle,
-    such as a whole replication batch, shares its group-outcome memo.
-    """
+    """Reentrant, pure backend around :func:`oracle_decide`."""
 
     name = "oracle"
     pure = True
-
-    def __init__(self) -> None:
-        self.group_memo: dict = {}
 
     def decide(self, ctx: DecisionContext) -> Decision:
         return oracle_decide(ctx)

@@ -12,7 +12,9 @@ defector, non-punisher, or meta-non-punisher, never more than one, and each
 
 from __future__ import annotations
 
+import json
 import logging
+import threading
 from typing import NamedTuple, Sequence
 
 from .backends.base import (
@@ -25,6 +27,7 @@ from .backends.base import (
     SchemaError,
     check_decision,
 )
+from .config_io import to_data
 from .model import (
     AgentState,
     GroupRound,
@@ -325,9 +328,9 @@ def apply_utilities(
     return utilities
 
 
-# Entries kept per backend memo. A group of n members has C(n + 4, 4)
-# multisets of (strategy, flag) types, so large groups must not grow it
-# without bound.
+# Entries the outcome table holds, outcomes by type and seatings together. A
+# group of n members has C(n + 4, 4) multisets of (strategy, flag) types per
+# config, and more seatings, so large groups must not grow it without bound.
 GROUP_MEMO_LIMIT = 4096
 
 # A member's type: the (strategy, r1_punished) pair a pure backend decides on.
@@ -349,6 +352,64 @@ class _MemoOutcome(NamedTuple):
     events: tuple[tuple[PunishmentLevel, dict[_MemberType, dict[_MemberType, tuple[float, float]]]], ...]
 
 
+class _Seating(NamedTuple):
+    """One seating's finished round by seat index: what the same member types
+    in the same seat order give again under the same config.
+
+    ``events`` are (punisher seat, target seat, level, cost_to_punisher,
+    cost_to_target) in pipeline order.
+    """
+
+    orders: tuple[MealChoice, ...]
+    bill_total: float
+    meal_payoffs: tuple[float, ...]
+    utilities: tuple[float, ...]
+    flips: tuple[int, ...]  # seats whose r1_punished flag the round set
+    events: tuple[tuple[int, int, PunishmentLevel, float, float], ...]
+
+
+# The outcome table every pure backend in the process shares. Both parts are
+# keyed by (config key, member types): ``_outcomes`` by the sorted types,
+# ``_seatings`` by the types in seat order. Reads take no lock; every write
+# holds ``_table_lock``, so the parts never hold more than GROUP_MEMO_LIMIT
+# entries together.
+_outcomes: dict[tuple, _MemoOutcome] = {}
+_seatings: dict[tuple, _Seating] = {}
+_table_lock = threading.Lock()
+
+
+def _store(part: dict, key: tuple, value) -> None:
+    """Add one entry to a part of the table, emptying the full table first."""
+    with _table_lock:
+        if len(_outcomes) + len(_seatings) >= GROUP_MEMO_LIMIT:
+            _outcomes.clear()
+            _seatings.clear()
+        part[key] = value
+
+
+# The last (backend class, menu, params, error policy) seen and its key. The
+# rounds of a batch pass the same objects, so a batch makes its key once. The
+# entry holds the objects, which keeps them alive, so an identity match is
+# the same frozen config.
+_last_config: tuple = (None, None, None, None, None)
+
+
+def _config_key(
+    backend: DecisionBackend, menu: MenuConfig, params: PunishmentParams, error_policy: str
+) -> tuple[type, str]:
+    """The backend's class and the config values as the event log writes
+    them. Equality would not do: 0.0 == -0.0 and 10 == 10.0, but their costs
+    and bills serialise apart."""
+    global _last_config
+    cls = type(backend)
+    last = _last_config
+    if last[0] is cls and last[1] is menu and last[2] is params and last[3] is error_policy:
+        return last[4]
+    key = (cls, json.dumps(to_data([menu, params, error_policy])))
+    _last_config = (cls, menu, params, error_policy, key)
+    return key
+
+
 def run_group_round(
     group: Sequence[AgentState],
     *,
@@ -362,20 +423,24 @@ def run_group_round(
 ) -> GroupRound:
     """Run the full per-group pipeline for one iteration.
 
-    For a pure backend the outcome is memoised on the backend by member type,
-    keyed by the sorted multiset of the members' (strategy, r1_punished)
-    pairs plus ``menu``, ``params`` and ``error_policy``. A hit maps the
-    types onto the current seats without asking the backend, then settles
-    the bill and the utilities in the current seat order like a miss does:
-    float sums depend on their order, so a stored bill would be wrong for
-    another seating.
+    A pure backend's rounds go through the process-wide outcome table, keyed
+    by the backend's class and the config (``_config_key``). A seating seen
+    before, the same member types in the same seat order, rebuilds its round
+    from the stored numbers (``_reseat``). A new seating of a known type
+    multiset maps the outcome by type onto the seats (``_replay``), then
+    settles the bill and the utilities in seat order like a miss: float sums
+    depend on their order, so a bill holds for its own seating only. Only a
+    multiset new to the table asks the backend.
     """
-    memo = backend.group_memo if backend.pure else None
     outcome = None
-    if memo is not None:
-        types = [(a.strategy, a.r1_punished) for a in group]
-        key = (tuple(sorted(types)), menu, params, error_policy)
-        outcome = memo.get(key)
+    if backend.pure:
+        config = _config_key(backend, menu, params, error_policy)
+        types = tuple([(a.strategy, a.r1_punished) for a in group])
+        seating = _seatings.get((config, types))
+        if seating is not None:
+            return _reseat(group, seating, group_id=group_id, location=location, iteration=iteration)
+        multiset = (config, tuple(sorted(types)))
+        outcome = _outcomes.get(multiset)
     if outcome is None:
         orders = collect_orders(
             group, menu, backend, iteration=iteration, location=location, params=params,
@@ -403,9 +468,11 @@ def run_group_round(
         punishment_events=events,
         iteration_utilities=apply_utilities(group, meal_payoffs, events),
     )
-    # Threads sharing the backend may both miss a key; they store equal outcomes.
-    if outcome is None and memo is not None and len(memo) < GROUP_MEMO_LIMIT:
-        memo[key] = _memo_outcome(group, types, result)
+    # Threads that miss one key together store equal values.
+    if backend.pure:
+        if outcome is None:
+            _store(_outcomes, multiset, _memo_outcome(group, types, result))
+        _store(_seatings, (config, types), _seating(group, types, result))
     return result
 
 
@@ -461,3 +528,53 @@ def _replay(
         if t in outcome.converted:
             agent.r1_punished = True
     return {a: outcome.choices[t] for a, t in seats}, tuple(events)
+
+
+def _seating(
+    group: Sequence[AgentState],
+    types: Sequence[_MemberType],
+    result: GroupRound,
+) -> _Seating:
+    """Reduce a round to its numbers by seat; ``types`` are the pre-round ones."""
+    seat = {a.agent_id: i for i, a in enumerate(group)}
+    return _Seating(
+        tuple(result.orders.values()),
+        result.bill_total,
+        tuple(result.meal_payoffs.values()),
+        tuple(result.iteration_utilities.values()),
+        tuple(i for i, (a, t) in enumerate(zip(group, types)) if a.r1_punished != t[1]),
+        tuple(
+            (seat[e.punisher_id], seat[e.target_id], e.level, e.cost_to_punisher, e.cost_to_target)
+            for e in result.punishment_events
+        ),
+    )
+
+
+def _reseat(
+    group: Sequence[AgentState],
+    seating: _Seating,
+    *,
+    group_id: str,
+    location: str,
+    iteration: int,
+) -> GroupRound:
+    """A stored seating's round for the agents now in its seats. Sets their
+    flags and utilities as a miss does."""
+    ids = [a.agent_id for a in group]
+    for i in seating.flips:
+        group[i].r1_punished = True
+    for agent, utility in zip(group, seating.utilities):
+        agent.iteration_utility = utility
+        agent.cumulative_utility += utility
+    return GroupRound(
+        group_id,
+        location,
+        dict(zip(ids, seating.orders)),
+        seating.bill_total,
+        dict(zip(ids, seating.meal_payoffs)),
+        tuple([
+            PunishmentEvent(iteration, ids[punisher], ids[target], level, cost_k, cost_p)
+            for punisher, target, level, cost_k, cost_p in seating.events
+        ]),
+        dict(zip(ids, seating.utilities)),
+    )

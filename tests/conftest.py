@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,25 @@ def oracle():
     from dinersim.backends.oracle import RuleOracle
 
     return RuleOracle()
+
+
+@contextmanager
+def fresh_group_table():
+    """Swap in an empty engine outcome table; yields its two parts, the
+    outcomes by type and the seatings."""
+    from dinersim import engine
+
+    outcomes, seatings = {}, {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_outcomes", outcomes)
+        patch.setattr(engine, "_seatings", seatings)
+        yield outcomes, seatings
+
+
+@pytest.fixture
+def group_table():
+    with fresh_group_table() as parts:
+        yield parts
 
 
 def make_group(labels: list[str], prefix: str = "a", punished: set[str] | None = None) -> list[AgentState]:

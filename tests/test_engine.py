@@ -507,6 +507,14 @@ class TestDecideEach:
         assert [str(r) for r in results[1::2]] == [f"context {i} failed" for i in (1, 3, 5)]
 
 
+def no_pipeline(*args, **kwargs):
+    raise AssertionError("a stored outcome must not ask the backend")
+
+
+def no_arithmetic(*args, **kwargs):
+    raise AssertionError("a stored seating must not settle the bill or the utilities again")
+
+
 class TestGroupMemo:
     def round_at(self, backend, iteration, labels=("M", "P", "E", "R1"), params=P63, menu=DEFAULT_MENU):
         group = make_group(list(labels))
@@ -515,72 +523,93 @@ class TestGroupMemo:
             menu=menu, params=params, backend=backend,
         )
 
+    def assert_equals_reference(self, group, result, iteration, **round_options):
+        ref_group, reference = self.round_at(ImpureOracle(), iteration, **round_options)
+        assert result == reference  # bill_total, payoffs and events in pipeline order
+        assert list(result.orders) == list(reference.orders)
+        assert list(result.meal_payoffs.items()) == list(reference.meal_payoffs.items())
+        assert list(result.iteration_utilities.items()) == list(reference.iteration_utilities.items())
+        assert group == ref_group  # r1_punished and both utilities
+
     def test_only_the_oracle_is_pure(self):
         assert RuleOracle.pure
         assert not DecisionBackend.pure and not LlmBackend.pure and not ImpureOracle.pure
 
-    def test_hit_equals_miss(self, oracle, monkeypatch):
+    def test_hit_equals_miss(self, oracle, group_table, monkeypatch):
+        outcomes, seatings = group_table
         _, miss = self.round_at(oracle, iteration=1)
-        assert len(oracle.group_memo) == 1
+        assert (len(outcomes), len(seatings)) == (1, 1)
 
-        def no_pipeline(*args, **kwargs):
-            raise AssertionError("a memo hit must not ask the backend")
-
-        monkeypatch.setattr(engine, "collect_orders", no_pipeline)
-        hit_group, hit = self.round_at(oracle, iteration=2)
+        for stage in ("collect_orders", "punishment_round_1", "metanorm_round_2"):
+            monkeypatch.setattr(engine, stage, no_pipeline)
+        for stage in ("settle_bill", "apply_utilities"):
+            monkeypatch.setattr(engine, stage, no_arithmetic)
+        # Another oracle: every instance shares the one table.
+        hit_group, hit = self.round_at(RuleOracle(), iteration=2)
         monkeypatch.undo()
-        ref_group, reference = self.round_at(ImpureOracle(), iteration=2)
 
-        assert hit == reference
-        assert hit_group == ref_group  # r1_punished and both utilities
+        self.assert_equals_reference(hit_group, hit, 2)
         assert roles(hit) == roles(miss) == ({"a4"}, {"a3"}, {"a2"})
         assert hit.punishment_events == tuple(replace(e, iteration=2) for e in miss.punishment_events)
-        assert list(hit.orders) == list(reference.orders)
-        assert list(hit.meal_payoffs) == list(reference.meal_payoffs)
 
     @pytest.mark.parametrize("seatings", [
         (("R1", "E", "E", "E"), ("E", "E", "E", "R1"), ("E", "R1", "E", "E")),
         (("M", "P", "E", "R1"), ("R1", "E", "P", "M"), ("E", "M", "R1", "P")),
         (("P", "R1", "P", "R1"), ("R1", "R1", "P", "P"), ("R1", "P", "R1", "P")),
     ])
-    def test_replay_is_free_of_seat_order_and_float_order(self, oracle, monkeypatch, seatings):
+    def test_replay_is_free_of_seat_order_and_float_order(self, oracle, group_table, monkeypatch, seatings):
         # One-decimal costs: 0.7+0.1+0.1+0.1 != 0.1+0.1+0.1+0.7 in floats, so
-        # a replay must settle the bill and the utilities in its own seat order.
-        menu = MenuConfig(budget_cost=0.1, budget_value=0.2, premium_cost=0.7, premium_value=0.5)
-        params = PunishmentParams(p=0.3, k=0.1)
+        # a new seating must settle the bill and the utilities in its own seat
+        # order, and a stored bill holds for its own seating only.
+        options = dict(
+            menu=MenuConfig(budget_cost=0.1, budget_value=0.2, premium_cost=0.7, premium_value=0.5),
+            params=PunishmentParams(p=0.3, k=0.1),
+        )
         first, *rest = seatings
-        results = [self.round_at(oracle, 1, labels=first, params=params, menu=menu)[1]]
-
-        def no_pipeline(*args, **kwargs):
-            raise AssertionError("a memo hit must not ask the backend")
-
+        results = [self.round_at(oracle, 1, labels=first, **options)[1]]
         for iteration, labels in enumerate(rest, start=2):
             monkeypatch.setattr(engine, "collect_orders", no_pipeline)
-            hit_group, hit = self.round_at(oracle, iteration, labels=labels, params=params, menu=menu)
+            group, result = self.round_at(oracle, iteration, labels=labels, **options)
             monkeypatch.undo()
-            ref_group, reference = self.round_at(
-                ImpureOracle(), iteration, labels=labels, params=params, menu=menu
-            )
-            assert hit == reference  # bill_total, payoffs and events in pipeline order
-            assert list(hit.orders) == list(reference.orders)
-            assert list(hit.meal_payoffs.items()) == list(reference.meal_payoffs.items())
-            assert hit_group == ref_group  # r1_punished and both utilities
-            results.append(hit)
-        assert len(oracle.group_memo) == 1
+            self.assert_equals_reference(group, result, iteration, labels=labels, **options)
+            results.append(result)
+        outcomes, stored = group_table
+        assert (len(outcomes), len(stored)) == (1, 3)
         assert len({r.bill_total for r in results}) > 1  # the float order mattered
 
-    def test_backend_decided_mode_raises_on_every_call(self, oracle):
+        # Each seating again, now from its stored numbers.
+        for iteration, labels in enumerate(seatings, start=4):
+            monkeypatch.setattr(engine, "collect_orders", no_pipeline)
+            monkeypatch.setattr(engine, "settle_bill", no_arithmetic)
+            monkeypatch.setattr(engine, "apply_utilities", no_arithmetic)
+            group, result = self.round_at(oracle, iteration, labels=labels, **options)
+            monkeypatch.undo()
+            self.assert_equals_reference(group, result, iteration, labels=labels, **options)
+        assert (len(outcomes), len(stored)) == (1, 3)
+
+    def test_backend_decided_mode_raises_on_every_call(self, oracle, group_table):
         params = PunishmentParams(mode=PunishmentMode.BACKEND_DECIDED)
         for iteration in (1, 2, 3):
             with pytest.raises(UnsupportedModeError):
                 self.round_at(oracle, iteration, params=params)
-        assert oracle.group_memo == {}
+        assert group_table == ({}, {})
 
-    def test_memo_stops_growing_at_its_limit(self, oracle, monkeypatch):
-        monkeypatch.setattr(engine, "GROUP_MEMO_LIMIT", 1)
+    def test_full_table_empties_and_refills(self, oracle, group_table, monkeypatch):
+        outcomes, seatings = group_table
+        monkeypatch.setattr(engine, "GROUP_MEMO_LIMIT", 2)
         self.round_at(oracle, 1)
-        for _ in range(2):
-            _, result = self.round_at(oracle, 1, labels=("R1", "E", "E", "P"))
-            _, reference = self.round_at(ImpureOracle(), 1, labels=("R1", "E", "E", "P"))
-            assert result == reference
-        assert len(oracle.group_memo) == 1
+        first = set(seatings)
+        labels = ("R1", "E", "E", "P")
+        group, result = self.round_at(oracle, 1, labels=labels)
+        assert (len(outcomes), len(seatings)) == (1, 1)
+        assert first.isdisjoint(seatings)
+        self.assert_equals_reference(group, result, 1, labels=labels)
+
+        # The refilled table serves the new multiset.
+        monkeypatch.setattr(engine, "collect_orders", no_pipeline)
+        monkeypatch.setattr(engine, "settle_bill", no_arithmetic)
+        group, result = self.round_at(oracle, 2, labels=labels)
+        monkeypatch.setattr(engine, "collect_orders", collect_orders)
+        monkeypatch.setattr(engine, "settle_bill", settle_bill)
+        self.assert_equals_reference(group, result, 2, labels=labels)
+        assert (len(outcomes), len(seatings)) == (1, 1)

@@ -4,23 +4,25 @@ import gc
 import hashlib
 import sys
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dinersim import runner
+from dinersim import engine, runner
 from dinersim.backends.base import Decision, DecisionBackend, DecisionContext, TransportError
 from dinersim.backends.oracle import RuleOracle
 from dinersim.model import (
     DEFAULT_MENU,
     BackendConfig,
+    ImitationParams,
     MealChoice,
     MenuConfig,
     PunishmentLevel,
     PunishmentParams,
     Strategy,
+    UtilityBasis,
     census_of,
     paper_preset,
 )
@@ -36,7 +38,7 @@ from dinersim.runner import (
     run_simulation,
 )
 
-from conftest import ImpureOracle, make_config
+from conftest import ImpureOracle, fresh_group_table, make_config
 
 
 def oracle_preset(combination=1, punishment="6:1", seed=0):
@@ -288,13 +290,14 @@ def test_oracle_event_logs_match_the_golden_digest():
 
 @st.composite
 def one_decimal_menus(draw):
-    """Menus with one-decimal costs, whose float sums depend on their order,
-    that are still a dilemma at group size 4."""
+    """Menus with one-decimal costs, whose float sums depend on their order.
+    The extra value is half the extra cost: a dilemma at every group size
+    from 3."""
     tenths = st.integers(1, 9)
     budget_cost = draw(tenths)
     premium_cost = draw(st.integers(budget_cost + 1, 10))
     budget_value = draw(tenths) / 10
-    extra_value = (premium_cost - budget_cost) / 20  # between a quarter and all of the extra cost
+    extra_value = (premium_cost - budget_cost) / 20
     return MenuConfig(
         budget_cost=budget_cost / 10,
         budget_value=budget_value,
@@ -303,30 +306,77 @@ def one_decimal_menus(draw):
     )
 
 
+@st.composite
+def integer_menus(draw):
+    """Menus of whole numbers, written as ints or as floats, whose extra
+    value is half the extra cost."""
+    budget_cost, budget_value = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    half_extra = draw(st.integers(1, 5))
+    number = draw(st.sampled_from([int, float]))
+    values = (budget_cost, budget_value, budget_cost + 2 * half_extra, budget_value + half_extra)
+    return MenuConfig(*map(number, values))
+
+
+@st.composite
+def memo_configs(draw):
+    """Configs of two equal groups of 3-6 members of any strategies, with any
+    menu, (p, k) and utility basis. No (p, k) leaves severity to the backend,
+    which the rule oracle refuses: every such run aborts."""
+    size = draw(st.integers(3, 6))
+    labels = st.lists(st.sampled_from([s.value for s in Strategy]), min_size=size, max_size=size)
+    p, k = draw(st.sampled_from([(None, None), (3.0, 1.0), (6.0, 1.0), (0.0, 0.0), (-0.0, -0.0)]))
+    backend_kind = "oracle" if p is not None else "llm"
+    config = make_config([draw(labels), draw(labels)], p=p, k=k, backend_kind=backend_kind)
+    return replace(
+        config,
+        menu=draw(st.one_of(st.just(DEFAULT_MENU), one_decimal_menus(), integer_menus())),
+        imitation=ImitationParams(beta=1.0, utility_basis=draw(st.sampled_from(UtilityBasis))),
+    )
+
+
+def run_all(configs, backend, jobs):
+    """``run_simulation`` of each config on ``jobs`` threads, in order."""
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(lambda config: run_simulation(config, backend), configs))
+
+
+def assert_same_runs(got_runs, want_runs):
+    assert len(got_runs) == len(want_runs)
+    for got, want in zip(got_runs, want_runs):
+        assert got.handle == want.handle and got.error == want.error
+        assert list(event_log_lines(got)) == list(event_log_lines(want))
+        assert got.final_agents == want.final_agents
+
+
 class TestGroupMemoParity:
     @settings(max_examples=30, deadline=None)
     @given(
-        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
-        combination=st.sampled_from([1, 2]),
-        punishment=st.sampled_from(["none", "3:1", "6:1"]),
+        configs=st.lists(memo_configs(), min_size=2, max_size=3),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
         jobs=st.sampled_from([1, 2]),
-        menu=st.one_of(st.just(DEFAULT_MENU), one_decimal_menus()),
     )
-    def test_memoised_oracle_matches_impure_oracle(self, seeds, combination, punishment, jobs, menu):
-        # "none" leaves severity to the backend: the oracle refuses every
-        # order, so every run aborts, and nothing may be memoised.
-        config = replace(paper_preset(combination, punishment, 0), menu=menu)
-        oracle = RuleOracle()
-        _, memoised = replicate(config, oracle, seeds, jobs=jobs)
-        _, reference = replicate(config, ImpureOracle(), seeds, jobs=jobs)
-        for got, want in zip(memoised, reference):
-            assert got.handle == want.handle and got.error == want.error
-            assert list(event_log_lines(got)) == list(event_log_lines(want))
-            assert got.final_agents == want.final_agents
-        if punishment == "none":
-            assert oracle.group_memo == {}
+    def test_memoised_oracle_matches_impure_oracle(self, configs, seeds, jobs):
+        # The configs' runs take turns, seed by seed, through one table.
+        runs = [replace(config, seed=seed) for seed in seeds for config in configs]
+        with fresh_group_table() as (outcomes, seatings):
+            memoised = run_all(runs, RuleOracle(), jobs)
+        assert_same_runs(memoised, run_all(runs, ImpureOracle(), jobs))
+        # A failed round stores nothing.
+        assert not any("backend_decided" in text for (_, text), _ in [*outcomes, *seatings])
 
-    def test_shared_memo_under_thread_contention(self):
+    @pytest.mark.parametrize("first, second", [
+        # Costs of 0.0 and -0.0 compare equal but log apart.
+        (oracle_preset(1, "0:0", 3), oracle_preset(1, "-0:-0", 3)),
+        # So do bills of 40 and 40.0.
+        (replace(oracle_preset(1, "3:1", 3), menu=MenuConfig(10, 12, 30, 22)), oracle_preset(1, "3:1", 3)),
+    ])
+    def test_configs_that_log_apart_share_no_outcome(self, first, second):
+        oracle = RuleOracle()
+        for config in (first, second, first):
+            assert_same_runs([run_simulation(config, oracle)], [run_simulation(config, ImpureOracle())])
+
+    def test_shared_memo_under_thread_contention(self, group_table):
+        # From an empty table, so that threads also miss and store.
         config = oracle_preset(2, "3:1")
         seeds = list(range(24))
         _, reference = replicate(config, ImpureOracle(), seeds)
@@ -338,6 +388,32 @@ class TestGroupMemoParity:
             sys.setswitchinterval(interval)
         assert [log_text(r) for r in memoised] == [log_text(r) for r in reference]
         assert [r.final_agents for r in memoised] == [r.final_agents for r in reference]
+
+    def test_bounded_table_under_thread_contention(self, group_table, monkeypatch):
+        outcomes, seatings = group_table
+        limit = 8
+        monkeypatch.setattr(engine, "GROUP_MEMO_LIMIT", limit)
+        sizes = []
+        store = engine._store
+
+        def recording_store(part, key, value):
+            store(part, key, value)
+            with engine._table_lock:
+                sizes.append(len(outcomes) + len(seatings))
+
+        monkeypatch.setattr(engine, "_store", recording_store)
+        config = oracle_preset(2, "3:1")
+        seeds = list(range(24))
+        _, reference = replicate(config, ImpureOracle(), seeds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, memoised = replicate(config, RuleOracle(), seeds, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(sizes) <= limit
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))  # emptied, then refilled
+        assert_same_runs(memoised, reference)
 
 
 class RecordingPool:
