@@ -231,6 +231,53 @@ def _decode(line: str):
     return json.loads(line)
 
 
+# Checked by exact type: ``isinstance(True, int)`` holds, but a bool is no number here.
+_NUMBER_TYPES = (int, float)
+
+
+def _string(item: dict, key: str) -> str:
+    value = item[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a string, not {value!r}")
+    return value
+
+
+def _number(item: dict, key: str) -> int | float:
+    """``item[key]``, which must be an ``int`` or a ``float`` (not a bool)."""
+    value = item[key]
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError(f"{key} must be a number, not {value!r}")
+    return value
+
+
+def _numbers(item: dict, key: str) -> dict:
+    """``item[key]``, an agent -> number mapping."""
+    values = item[key]
+    for agent_id, value in values.items():
+        if type(value) not in _NUMBER_TYPES:
+            raise ValueError(f"{key}[{agent_id!r}] must be a number, not {value!r}")
+    return values
+
+
+def _imitation(item: dict) -> ImitationOutcome:
+    """The outcome of an imitation line, whose ``adopted`` must be what its
+    draw and probability give."""
+    probability, draw, adopted = _number(item, "probability"), _number(item, "uniform_draw"), item["adopted"]
+    if not 0 <= probability <= 1:
+        raise ValueError(f"probability must be in [0, 1], not {probability!r}")
+    if not 0 <= draw < 1:
+        raise ValueError(f"uniform_draw must be in [0, 1), not {draw!r}")
+    if type(adopted) is not bool:
+        raise ValueError(f"adopted must be true or false, not {adopted!r}")
+    if adopted is not (draw < probability):
+        raise ValueError(
+            f"adopted is {_scalar(adopted)}, but uniform_draw < probability is {_scalar(not adopted)}"
+        )
+    return ImitationOutcome(
+        item["focal"], item["role_model"], _number(item, "payoff_diff"), probability, draw, adopted
+    )
+
+
 def _member(members: dict, enum: type, value):
     """``enum(value)``, through a value -> member dict."""
     try:
@@ -259,8 +306,13 @@ def load_event_log(path: str | Path) -> LoadedRun:
     :class:`EventLogError` for a log it cannot read back: an empty file, a
     line that is not UTF-8 JSON, a wrong header or schema, a missing key, a
     bad value (such as a census that is not counts of agents or whose total
-    differs from the header's initial census, or an iteration that is not
-    an ``int``), an unknown kind, a line out of the canonical order,
+    differs from the header's initial census, an iteration that is not an
+    ``int``, a ``group`` or ``location`` that is not a string, a bill,
+    meal payoff, cost, utility, ``payoff_diff``, ``probability`` or
+    ``uniform_draw`` that is not an ``int`` or a ``float``, a
+    ``probability`` outside [0, 1] or a ``uniform_draw`` outside [0, 1),
+    or an ``adopted`` that is not the bool ``uniform_draw < probability``),
+    an unknown kind, a line out of the canonical order,
     iterations that do not strictly ascend, an agent ordering in two groups
     of one iteration, a punisher and target who did not order in one group,
     a utilities line whose keys differ from the iteration's orders or their
@@ -321,11 +373,11 @@ def load_event_log(path: str | Path) -> LoadedRun:
 
             if kind == "orders":
                 fields = {
-                    "group_id": item["group"],
-                    "location": item["location"],
+                    "group_id": _string(item, "group"),
+                    "location": _string(item, "location"),
                     "orders": {a: _member(_MEALS, MealChoice, c) for a, c in item["choices"].items()},
-                    "bill_total": item["bill_total"],
-                    "meal_payoffs": item["meal_payoffs"],
+                    "bill_total": _number(item, "bill_total"),
+                    "meal_payoffs": _numbers(item, "meal_payoffs"),
                 }
                 for agent_id in fields["orders"]:
                     if agent_id in group_of:
@@ -338,8 +390,8 @@ def load_event_log(path: str | Path) -> LoadedRun:
                     punisher_id=item["punisher"],
                     target_id=item["target"],
                     level=_member(_LEVELS, PunishmentLevel, item["level"]),
-                    cost_to_punisher=item["cost_to_punisher"],
-                    cost_to_target=item["cost_to_target"],
+                    cost_to_punisher=_number(item, "cost_to_punisher"),
+                    cost_to_target=_number(item, "cost_to_target"),
                 )
                 group = group_of.get(event.punisher_id)
                 if group is None or group_of.get(event.target_id) != group:
@@ -355,20 +407,13 @@ def load_event_log(path: str | Path) -> LoadedRun:
                 punished = group
                 groups[group][1].append(event)
             elif kind == "utilities":
-                utilities = item["values"]
+                utilities = _numbers(item, "values")
                 if utilities.keys() != group_of.keys():
                     raise ValueError(f"utilities keys differ from the orders of iteration {iteration}")
                 if list(utilities) != list(group_of):
                     raise ValueError(f"utilities keys are not in the seat order of iteration {iteration}")
             elif kind == "imitation":
-                outcome = ImitationOutcome(
-                    focal_id=item["focal"],
-                    role_model_id=item["role_model"],
-                    payoff_diff=item["payoff_diff"],
-                    probability=item["probability"],
-                    uniform_draw=item["uniform_draw"],
-                    adopted=item["adopted"],
-                )
+                outcome = _imitation(item)
                 focal, role_model = outcome.focal_id, outcome.role_model_id
                 if focal not in group_of:
                     raise ValueError(f"focal {focal!r} did not order in iteration {iteration}")

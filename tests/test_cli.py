@@ -422,6 +422,35 @@ class TestReport:
          "line 4", "role model 'a1' is not another agent that ordered in iteration 1"),
         (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("a1", "ghost"),
          "line 4", "role model 'ghost' is not another agent that ordered in iteration 1"),
+        # One JSON value of the wrong type or out of its range, in a log otherwise valid.
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2")
+         + (SCOLD % b"a2").replace(b'"cost_to_target": 6.0', b'"cost_to_target": "abc"'),
+         "line 3", "cost_to_target must be a number, not 'abc'"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2")
+         + (SCOLD % b"a2").replace(b'"cost_to_punisher": 1.0', b'"cost_to_punisher": true'),
+         "line 3", "cost_to_punisher must be a number, not True"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"adopted": false', b'"adopted": 0', 1),
+         "line 4", "adopted must be true or false, not 0"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"uniform_draw": 0.5', b'"uniform_draw": 7.5', 1),
+         "line 4", "uniform_draw must be in [0, 1), not 7.5"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"probability": 0.5', b'"probability": null', 1),
+         "line 4", "probability must be a number, not None"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"probability": 0.5', b'"probability": 1.5', 1),
+         "line 4", "probability must be in [0, 1], not 1.5"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"adopted": false', b'"adopted": true', 1),
+         "line 4", "adopted is true, but uniform_draw < probability is false"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"payoff_diff": 0.0', b'"payoff_diff": "0"', 1),
+         "line 4", "payoff_diff must be a number, not '0'"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"values": {"a1": 0.5, "a2": 0.5}', b'"values": {"a1": 0.5, "a2": "x"}'),
+         "line 3", "values['a2'] must be a number, not 'x'"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"meal_payoffs": {"a1": 0.5', b'"meal_payoffs": {"a1": null', 1),
+         "line 2", "meal_payoffs['a1'] must be a number, not None"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"bill_total": 1.0', b'"bill_total": [1]', 1),
+         "line 2", "bill_total must be a number, not [1]"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"location": "l"', b'"location": 5', 1),
+         "line 2", "location must be a string, not 5"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"group": "g1"', b'"group": ["g1"]', 1),
+         "line 2", "group must be a string, not ['g1']"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
@@ -430,7 +459,10 @@ class TestReport:
             "utilities-not-in-seat-order", "census-labels-out-of-order", "iteration-not-int",
             "cut-after-an-iteration", "header-only", "iteration-removed", "census-total-differs",
             "imitation-line-dropped", "ghost-focal", "second-imitation", "self-role-model",
-            "ghost-role-model"])
+            "ghost-role-model", "cost-not-number", "cost-is-bool", "adopted-not-bool",
+            "draw-out-of-range", "probability-null", "probability-out-of-range", "adopted-flipped",
+            "payoff-diff-not-number", "utility-not-number", "meal-payoff-not-number",
+            "bill-total-not-number", "location-not-string", "group-not-string"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from dinersim.imitation import (
     PopulationTooSmall,
+    _bounded,
+    _draws,
     fermi_probability,
     imitation_step,
 )
@@ -18,6 +21,9 @@ from dinersim.model import ImitationOutcome, ImitationParams, Strategy, UtilityB
 from conftest import make_group
 
 finite_payoffs = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+
+# numpy's bit generators; each has its own next_uint32 and next_double.
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
 
 class TestFermiProbability:
@@ -188,6 +194,22 @@ class TestImitationStep:
         assert outcomes[0].payoff_diff == 1000.0
         assert outcomes[0].adopted
 
+    def test_sweep_holds_the_bit_generator_lock(self):
+        rng = np.random.default_rng(0)
+        group = make_group(["M", "P", "E", "R1"])
+        done = threading.Event()
+
+        def sweep():
+            imitation_step(group, ImitationParams(), rng)
+            done.set()
+
+        worker = threading.Thread(target=sweep)
+        with rng.bit_generator.lock:
+            worker.start()
+            assert not done.wait(0.2)  # waits while another thread holds the lock
+        worker.join(timeout=10)
+        assert not worker.is_alive() and done.is_set()
+
     def test_same_seed_same_outcomes(self):
         def run(seed):
             group = make_group(["M", "P", "E", "R1"])
@@ -234,9 +256,10 @@ def reference_imitation_step(population, params, rng):
 
 
 class TestImitationStreamParity:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda kind: kind.__name__)
     @pytest.mark.parametrize("basis", list(UtilityBasis))
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_matches_the_reference_draw_for_draw(self, n, basis):
+    def test_matches_the_reference_draw_for_draw(self, n, basis, bit_generator):
         params = ImitationParams(beta=0.8, utility_basis=basis)
         adoptions = 0
         for seed in (0, 3, 2**40 + 7):
@@ -244,7 +267,8 @@ class TestImitationStreamParity:
             labels = [str(setup.choice(["M", "P", "E", "R1"])) for _ in range(n)]
             punished = {f"a{i}" for i in range(1, n + 1) if setup.random() < 0.5}
             group, reference = make_group(labels, punished=punished), make_group(labels, punished=punished)
-            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng = np.random.Generator(bit_generator(seed))
+            reference_rng = np.random.Generator(bit_generator(seed))
             for _ in range(4):  # later sweeps start from adopted strategies and cleared flags
                 for a, b in zip(group, reference):
                     a.iteration_utility = b.iteration_utility = float(setup.normal(0, 2))
@@ -254,5 +278,29 @@ class TestImitationStreamParity:
                 assert got == want
                 assert group == reference  # strategies and r1_punished flags
                 adoptions += sum(o.adopted for o in got)
-            assert rng.bit_generator.state == reference_rng.bit_generator.state
+            # assert_equal compares the array parts of MT19937, Philox and SFC64 states too
+            np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
         assert adoptions  # the adoption branch ran
+
+
+class TestBoundedStep:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("span", [1, 7, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_matches_generator_integers(self, span, bit_generator):
+        rng, reference = np.random.Generator(bit_generator(17)), np.random.Generator(bit_generator(17))
+        state, next_uint32, _ = _draws(rng.bit_generator)
+        calls = 0
+
+        def counted(address):
+            nonlocal calls
+            calls += 1
+            return next_uint32(address)
+
+        draws = 2000
+        got = [_bounded(counted, state, span) for _ in range(draws)]
+        assert got == [int(reference.integers(span)) for _ in range(draws)]
+        np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
+        if span == 1:
+            assert calls == 0  # integers(1) consumes nothing
+        elif span == 2**31 + 1:
+            assert calls > 1.3 * draws  # about half of all 32-bit draws are redrawn
