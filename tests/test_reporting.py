@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -336,6 +337,52 @@ class TestTrendSvg:
         for fragment in ("M=#1f77b4", "P=#2ca02c", "E=#ff7f0e", "R1=#d62728"):
             assert fragment in head
         assert "mapping: x(t)" in head
+
+
+def census_file_runs(oracle, case: str):
+    """(run id, initial census, records, title) of each run of a byte-pin case."""
+    if case.startswith("paper"):
+        runs = [
+            run_simulation(oracle_preset(c, p, seed), oracle, early_stop=case == "paper-early-stop")
+            for c, p in ((1, "3:1"), (1, "6:1"), (2, "3:1"), (2, "6:1"))
+            for seed in range(8)
+        ]
+        return [(r.handle.run_id, r.initial_census, r.records, None) for r in runs]
+    config = {
+        "T0": replace(oracle_preset(seed=3), iterations=0),
+        "T1": replace(oracle_preset(seed=3), iterations=1),
+        # Twelve agents give shares such as 1/12, and 25 iterations thin the ticks.
+        "T25": replace(ROUND_TRIP_CONFIGS[3], iterations=25),
+        "title": oracle_preset(seed=3),
+    }[case]
+    result = run_simulation(config, oracle)
+    title = 'R&D <"shares"> & more' if case == "title" else None
+    return [(result.handle.run_id, result.initial_census, result.records, title)]
+
+
+class TestCensusFileBytes:
+    # sha256 over census.csv then trend.svg of each run of a case, as
+    # ``write_census_files`` writes them, recorded before the writers were
+    # rewritten from templates. Equal runs must keep giving equal bytes.
+    DIGESTS = {
+        "paper": "a9c111fd7fd3836d71193fb3f2dfafb6310784a975ff2d5ddc0dc2736e591c12",
+        "paper-early-stop": "9755021a5d4cfa6034c803b0ef1f27ce37bd3f351b2c37d0e2aed598f2d00d2f",
+        "T0": "473e407c41db405b50c66f3c2dba1f6bf2cde6880512a0cffb9f68b4b0ff3d7d",
+        "T1": "2900cd5095c8e7fe818dece5fd4490a04cbe5b22fe34da9634cc9c859e406432",
+        "T25": "1a4e5c0e190419b073aaa6c27b0e5eaa0e1d46115e75588113f18ae6a9a5be97",
+        "title": "39002a6bfdc6e296ee908ee82e6629e1697dc978b14ad7a76de2847a043c911d",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_census_files_match_their_digest(self, oracle, tmp_path, case):
+        from dinersim.cli import write_census_files
+
+        h = hashlib.sha256()
+        for run_id, initial, records, title in census_file_runs(oracle, case):
+            write_census_files(tmp_path, run_id, initial, records, title)
+            h.update((tmp_path / "census.csv").read_bytes())
+            h.update((tmp_path / "trend.svg").read_bytes())
+        assert h.hexdigest() == self.DIGESTS[case]
 
 
 class TestConvergenceStats:
