@@ -10,9 +10,10 @@ IterationRecords exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import math
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,10 +52,12 @@ _CENSUS_LABELS = [s.value for s in STRATEGY_ORDER]
 # encoder per call.
 _encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 _LEVEL_JSON = {level: _encode(level.value) for level in PunishmentLevel}
-
-
-def _census_counts(census: dict[Strategy, int]) -> dict[str, int]:
-    return {label: census.get(s, 0) for s, label in zip(STRATEGY_ORDER, _CENSUS_LABELS)}
+_MEAL_JSON = {meal: _encode(meal.value) for meal in MealChoice}
+_STATUS_JSON = {status: _encode(status.value) for status in RunStatus}
+# Checked by exact type: ``isinstance(True, int)`` holds, but a bool is no number here.
+_NUMBER_TYPES = {int, float}
+# A census as JSON: each label's count goes in one ``%s``.
+_COUNTS_JSON = "{" + ",".join(f"{_encode(label)}:%s" for label in _CENSUS_LABELS) + "}"
 
 
 def _scalar(value) -> str:
@@ -65,30 +68,54 @@ def _scalar(value) -> str:
     ``np.float64``, go to the encoder.
     """
     kind = type(value)
-    if kind is float and math.isfinite(value) or kind is int:
+    if kind is float and isfinite(value) or kind is int:
         return repr(value)
     if kind is bool:
         return "true" if value else "false"
     return _encode(value)
 
 
-class _Encoded(dict):
-    """Each key's JSON text, encoded on first use."""
+class _Memo(dict):
+    """``make(key)`` for each key, made on first use."""
 
-    def __missing__(self, key: str) -> str:
-        text = self[key] = _encode(key)
-        return text
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _seedless_config(config) -> dict:
+def _members_json(mapping: dict, ids: _Memo) -> str:
+    """The members of a string -> number mapping as JSON, without braces.
+
+    Where every value is a plain int or float and their sum is finite, no
+    value is NaN or infinite, and ``repr`` writes each one as ``_scalar``
+    does.
+    """
+    values = mapping.values()
+    try:
+        plain = {*map(type, values)} <= _NUMBER_TYPES and isfinite(sum(values))
+    except OverflowError:  # an int too large for a float
+        plain = False
+    texts = map(repr, values) if plain else map(_scalar, values)
+    return ",".join([f"{ids[key]}:{text}" for key, text in zip(mapping, texts)])
+
+
+def _counts_json(census: dict[Strategy, int]) -> str:
+    get = census.get
+    return _COUNTS_JSON % tuple([_scalar(get(s, 0)) for s in STRATEGY_ORDER])
+
+
+def _seedless_config_json(config) -> str:
+    """The config's JSON text without its seed and closing brace."""
     data = config_to_dict(config)
     del data["seed"]
-    return data
+    return _encode(data)[:-1]
 
 
-# The header's config without its seed, made once per batch: the runs of a
-# batch differ only in their seeds.
-_header_config = SeedlessCache(_seedless_config)
+# Made once per batch: the runs of a batch differ only in their seeds.
+_header_config = SeedlessCache(_seedless_config_json)
 
 
 def event_log_lines(result: RunResult) -> Iterable[str]:
@@ -96,37 +123,29 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
 
     Kinds: header, orders (one per group), punishment, utilities, imitation,
     census. Field order within each line is fixed; see the README for the
-    field-by-field schema. Punishment and imitation lines, the most common,
-    come from templates; each is the text ``json.dumps`` gives for its
-    fields with the separators of the other lines.
+    field-by-field schema. Every line comes from a template and is the text
+    ``json.dumps`` gives for its fields with ``,`` and ``:`` separators and
+    ``ensure_ascii=False``; agent and group ids must be strings.
     """
-    yield _encode(
-        {
-            "kind": "header",
-            "schema": SCHEMA_VERSION,
-            "run_id": result.handle.run_id,
-            "seed": result.handle.seed,
-            "status": result.handle.status.value,
-            "iterations_executed": result.handle.iterations_executed,
-            "initial_census": _census_counts(result.initial_census),
-            # The seed is the last field of the config, so it goes back last.
-            "config": {**_header_config(result.config), "seed": result.config.seed},
-        }
+    handle, config = result.handle, result.config
+    yield (
+        f'{{"kind":"header","schema":{SCHEMA_VERSION},"run_id":{_encode(handle.run_id)},'
+        f'"seed":{_scalar(handle.seed)},"status":{_STATUS_JSON[handle.status]},'
+        f'"iterations_executed":{_scalar(handle.iterations_executed)},'
+        f'"initial_census":{_counts_json(result.initial_census)},'
+        # The seed is the last field of the config, so it goes back last.
+        f'"config":{_header_config(config)},"seed":{_scalar(config.seed)}}}}}'
     )
-    ids = _Encoded()
+    ids = _Memo(_encode)
     for record in result.records:
         iteration = _scalar(record.iteration)
         for group in record.groups:
-            yield _encode(
-                {
-                    "kind": "orders",
-                    "iteration": record.iteration,
-                    "group": group.group_id,
-                    "location": group.location,
-                    "choices": {a: c.value for a, c in group.orders.items()},
-                    "bill_total": group.bill_total,
-                    "meal_payoffs": group.meal_payoffs,
-                }
+            choices = ",".join([f"{ids[a]}:{_MEAL_JSON[c]}" for a, c in group.orders.items()])
+            payoffs = _members_json(group.meal_payoffs, ids)
+            yield (
+                f'{{"kind":"orders","iteration":{iteration},"group":{ids[group.group_id]},'
+                f'"location":{ids[group.location]},"choices":{{{choices}}},'
+                f'"bill_total":{_scalar(group.bill_total)},"meal_payoffs":{{{payoffs}}}}}'
             )
         for group in record.groups:
             for e in group.punishment_events:
@@ -136,13 +155,8 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
                     f'"level":{_LEVEL_JSON[e.level]},"cost_to_punisher":{_scalar(e.cost_to_punisher)},'
                     f'"cost_to_target":{_scalar(e.cost_to_target)}}}'
                 )
-        yield _encode(
-            {
-                "kind": "utilities",
-                "iteration": record.iteration,
-                "values": record.iteration_utilities,
-            }
-        )
+        values = _members_json(record.iteration_utilities, ids)
+        yield f'{{"kind":"utilities","iteration":{iteration},"values":{{{values}}}}}'
         for o in record.imitation_outcomes:
             yield (
                 f'{{"kind":"imitation","iteration":{iteration},'
@@ -150,25 +164,26 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
                 f'"payoff_diff":{_scalar(o.payoff_diff)},"probability":{_scalar(o.probability)},'
                 f'"uniform_draw":{_scalar(o.uniform_draw)},"adopted":{_scalar(o.adopted)}}}'
             )
-        yield _encode(
-            {
-                "kind": "census",
-                "iteration": record.iteration,
-                "counts": _census_counts(record.strategy_census),
-            }
-        )
+        yield f'{{"kind":"census","iteration":{iteration},"counts":{_counts_json(record.strategy_census)}}}'
 
 
-def write_event_log(result: RunResult, path: str | Path) -> Path:
-    """Write the log in one call; a failed write removes the partial file."""
-    path = Path(path)
+def _write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8 in one call, with no newline
+    translation; a failed write removes the partial file."""
+    if not isinstance(path, Path):  # Path(path) would parse a Path again
+        path = Path(path)
     try:
-        with path.open("w", encoding="utf-8", newline="\n") as handle:
-            handle.write("".join(f"{line}\n" for line in event_log_lines(result)))
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
     except OSError:
         path.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_event_log(result: RunResult, path: str | Path) -> Path:
+    """Write the run's event log in one call; a failed write removes the partial file."""
+    return _write_text(path, "\n".join(event_log_lines(result)) + "\n")
 
 
 @dataclass
@@ -206,33 +221,30 @@ def _check_header(header: dict) -> int:
         raise ValueError(f"unsupported event log schema {header['schema']!r}")
     if "run_id" not in header:
         raise KeyError("run_id")
-    return sum(_census(header["initial_census"]).values())
+    population = sum(_census(header["initial_census"]).values())
+    _member(_STATUSES, RunStatus, header["status"])
+    return population
 
 
 def _census(counts: dict) -> dict[Strategy, int]:
-    census = {Strategy(k): v for k, v in counts.items()}
+    census = {_member(_STRATEGIES, Strategy, k): v for k, v in counts.items()}
     if not all(type(v) is int and v >= 0 for v in census.values()) or not sum(census.values()):
         raise ValueError(f"census counts must be non-negative integers, not all 0: {counts}")
     return census
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+# The C scanner behind ``json.loads``; it raises StopIteration where no value starts.
+_scan = json.JSONDecoder().scan_once
 
 
 def _decode(line: str):
     """``json.loads(line)``, without its whitespace scan on a line that is
     one JSON value from first to last character."""
     try:
-        item, end = _raw_decode(line)
-        if end == len(line):
-            return item
-    except json.JSONDecodeError:
-        pass
-    return json.loads(line)
-
-
-# Checked by exact type: ``isinstance(True, int)`` holds, but a bool is no number here.
-_NUMBER_TYPES = (int, float)
+        item, end = _scan(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        return json.loads(line)
+    return item if end == len(line) else json.loads(line)
 
 
 def _string(item: dict, key: str) -> str:
@@ -286,8 +298,10 @@ def _member(members: dict, enum: type, value):
         return enum(value)
 
 
+_STRATEGIES = {s.value: s for s in Strategy}
 _MEALS = {m.value: m for m in MealChoice}
 _LEVELS = {level.value: level for level in PunishmentLevel}
+_STATUSES = {status.value: status for status in RunStatus}
 # Line kinds in the order an iteration's lines must come.
 _KINDS = ("orders", "punishment", "utilities", "imitation", "census")
 _RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
@@ -304,7 +318,8 @@ def load_event_log(path: str | Path) -> LoadedRun:
     Each punishment line goes to the group its punisher ordered in, and the
     utilities line is split by each group's orders. Raises
     :class:`EventLogError` for a log it cannot read back: an empty file, a
-    line that is not UTF-8 JSON, a wrong header or schema, a missing key, a
+    line that is not UTF-8 JSON, a wrong header or schema, a header
+    ``status`` that is not a :class:`RunStatus` value, a missing key, a
     bad value (such as a census that is not counts of agents or whose total
     differs from the header's initial census, an iteration that is not an
     ``int``, a ``group`` or ``location`` that is not a string, a bill,
@@ -314,7 +329,9 @@ def load_event_log(path: str | Path) -> LoadedRun:
     or an ``adopted`` that is not the bool ``uniform_draw < probability``),
     an unknown kind, a line out of the canonical order,
     iterations that do not strictly ascend, an agent ordering in two groups
-    of one iteration, a punisher and target who did not order in one group,
+    of one iteration, an orders line whose ``meal_payoffs`` keys differ
+    from its ``choices`` keys or their seat order, a punisher and target
+    who did not order in one group,
     a utilities line whose keys differ from the iteration's orders or their
     seat order, an imitation line whose focal agent did not order or already
     imitated or whose role model is not another agent that ordered, an
@@ -325,9 +342,13 @@ def load_event_log(path: str | Path) -> LoadedRun:
     """
     data = Path(path).read_bytes()
     try:
-        lines = data.decode("utf-8").splitlines()
+        # Split at newlines only: str.splitlines would also split at a
+        # U+2028 or U+0085 inside a JSON string.
+        lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise EventLogError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
+    if not lines[-1]:
+        lines.pop()  # what follows the last newline
     if not lines:
         raise EventLogError(path, 1, "empty file, expected a header line")
     malformed = (KeyError, TypeError, AttributeError, ValueError)
@@ -358,7 +379,7 @@ def load_event_log(path: str | Path) -> LoadedRun:
                 current = iteration
                 reached = punished = 0  # rank of the last line, group of the last punishment
                 # Per group: GroupRound fields and its events; each agent's group.
-                groups: list[tuple[dict, list[PunishmentEvent]]] = []
+                groups: list[tuple[tuple, list[PunishmentEvent]]] = []
                 group_of: dict[str, int] = {}
                 imitation: dict[str, ImitationOutcome] = {}  # by focal agent
             elif iteration != current:
@@ -371,48 +392,9 @@ def load_event_log(path: str | Path) -> LoadedRun:
                 raise ValueError(f"{kind} before the utilities line of iteration {iteration}")
             reached = rank
 
-            if kind == "orders":
-                fields = {
-                    "group_id": _string(item, "group"),
-                    "location": _string(item, "location"),
-                    "orders": {a: _member(_MEALS, MealChoice, c) for a, c in item["choices"].items()},
-                    "bill_total": _number(item, "bill_total"),
-                    "meal_payoffs": _numbers(item, "meal_payoffs"),
-                }
-                for agent_id in fields["orders"]:
-                    if agent_id in group_of:
-                        raise ValueError(f"agent {agent_id!r} orders in two groups of iteration {iteration}")
-                    group_of[agent_id] = len(groups)
-                groups.append((fields, []))
-            elif kind == "punishment":
-                event = PunishmentEvent(
-                    iteration=iteration,
-                    punisher_id=item["punisher"],
-                    target_id=item["target"],
-                    level=_member(_LEVELS, PunishmentLevel, item["level"]),
-                    cost_to_punisher=_number(item, "cost_to_punisher"),
-                    cost_to_target=_number(item, "cost_to_target"),
-                )
-                group = group_of.get(event.punisher_id)
-                if group is None or group_of.get(event.target_id) != group:
-                    raise ValueError(
-                        f"punisher {event.punisher_id!r} and target {event.target_id!r} "
-                        f"did not order in one group of iteration {iteration}"
-                    )
-                if group < punished:
-                    raise ValueError(
-                        f"punishment in group {groups[group][0]['group_id']!r} after one in group "
-                        f"{groups[punished][0]['group_id']!r} of iteration {iteration}"
-                    )
-                punished = group
-                groups[group][1].append(event)
-            elif kind == "utilities":
-                utilities = _numbers(item, "values")
-                if utilities.keys() != group_of.keys():
-                    raise ValueError(f"utilities keys differ from the orders of iteration {iteration}")
-                if list(utilities) != list(group_of):
-                    raise ValueError(f"utilities keys are not in the seat order of iteration {iteration}")
-            elif kind == "imitation":
+            # By frequency: an oracle log of eight agents has 80 imitation
+            # lines in about 139.
+            if rank == 3:
                 outcome = _imitation(item)
                 focal, role_model = outcome.focal_id, outcome.role_model_id
                 if focal not in group_of:
@@ -424,6 +406,48 @@ def load_event_log(path: str | Path) -> LoadedRun:
                         f"role model {role_model!r} is not another agent that ordered in iteration {iteration}"
                     )
                 imitation[focal] = outcome
+            elif rank == 0:
+                group_id, location = _string(item, "group"), _string(item, "location")
+                orders = {a: _member(_MEALS, MealChoice, c) for a, c in item["choices"].items()}
+                bill_total, payoffs = _number(item, "bill_total"), _numbers(item, "meal_payoffs")
+                where = f"of group {group_id!r} in iteration {iteration}"
+                if payoffs.keys() != orders.keys():
+                    raise ValueError(f"meal_payoffs keys differ from the choices {where}")
+                if list(payoffs) != list(orders):
+                    raise ValueError(f"meal_payoffs keys are not in the seat order of the choices {where}")
+                for agent_id in orders:
+                    if agent_id in group_of:
+                        raise ValueError(f"agent {agent_id!r} orders in two groups of iteration {iteration}")
+                    group_of[agent_id] = len(groups)
+                groups.append(((group_id, location, orders, bill_total, payoffs), []))
+            elif rank == 1:
+                event = PunishmentEvent(
+                    iteration,
+                    item["punisher"],
+                    item["target"],
+                    _member(_LEVELS, PunishmentLevel, item["level"]),
+                    _number(item, "cost_to_punisher"),
+                    _number(item, "cost_to_target"),
+                )
+                group = group_of.get(event.punisher_id)
+                if group is None or group_of.get(event.target_id) != group:
+                    raise ValueError(
+                        f"punisher {event.punisher_id!r} and target {event.target_id!r} "
+                        f"did not order in one group of iteration {iteration}"
+                    )
+                if group < punished:
+                    raise ValueError(
+                        f"punishment in group {groups[group][0][0]!r} after one in group "
+                        f"{groups[punished][0][0]!r} of iteration {iteration}"
+                    )
+                punished = group
+                groups[group][1].append(event)
+            elif rank == 2:
+                utilities = _numbers(item, "values")
+                if utilities.keys() != group_of.keys():
+                    raise ValueError(f"utilities keys differ from the orders of iteration {iteration}")
+                if list(utilities) != list(group_of):
+                    raise ValueError(f"utilities keys are not in the seat order of iteration {iteration}")
             else:
                 counts = item["counts"]
                 if list(counts) != _CENSUS_LABELS:
@@ -439,17 +463,13 @@ def load_event_log(path: str | Path) -> LoadedRun:
                     )
                 records.append(
                     IterationRecord(
-                        iteration=current,
-                        groups=tuple(
-                            GroupRound(
-                                **fields,
-                                punishment_events=tuple(events),
-                                iteration_utilities={a: utilities[a] for a in fields["orders"]},
-                            )
+                        current,
+                        tuple(
+                            GroupRound(*fields, tuple(events), {a: utilities[a] for a in fields[2]})
                             for fields, events in groups
                         ),
-                        imitation_outcomes=tuple(imitation.values()),
-                        strategy_census=census,
+                        tuple(imitation.values()),
+                        census,
                     )
                 )
                 closed, current = current, None
@@ -481,15 +501,15 @@ def write_census_csv(
     records: Sequence[IterationRecord],
     path: str | Path,
 ) -> Path:
-    """CSV columns: iteration, M, P, E, R1 as 6-decimal population fractions."""
-    path = Path(path)
-    rows = census_series(initial_census, records)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration"] + [s.value for s in STRATEGY_ORDER])
-        for iteration, row in enumerate(rows):
-            writer.writerow([iteration] + [f"{row[s]:.6f}" for s in STRATEGY_ORDER])
-    return path
+    """CSV columns: iteration, M, P, E, R1 as 6-decimal population fractions.
+
+    Rows end in CRLF, as ``csv.writer`` ends them; no field needs quoting.
+    """
+    m, p, e, r1 = STRATEGY_ORDER
+    lines = ["iteration," + ",".join(_CENSUS_LABELS) + "\r\n"]
+    for iteration, row in enumerate(census_series(initial_census, records)):
+        lines.append(f"{iteration},{row[m]:.6f},{row[p]:.6f},{row[e]:.6f},{row[r1]:.6f}\r\n")
+    return _write_text(path, "".join(lines))
 
 
 # SVG geometry. The affine mapping from data to pixels is fixed and part of
@@ -513,6 +533,73 @@ def svg_y(fraction: float) -> float:
     return PLOT_BOTTOM - fraction * (PLOT_BOTTOM - PLOT_TOP)
 
 
+# The chart's fixed parts, in the order they are drawn: the head up to the
+# title's text, the gridlines with their y tick labels every 0.25, the axes,
+# the axis labels, and each strategy's legend entry (after its polyline).
+_SVG_HEAD = "\n".join([
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+    f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+    "<!-- strategy colours: "
+    + ", ".join(f"{s.value}={STRATEGY_COLORS[s]}" for s in STRATEGY_ORDER)
+    + " -->",
+    "<!-- mapping: x(t) = "
+    f"{PLOT_LEFT:g} + t * {(PLOT_RIGHT - PLOT_LEFT):g}/max(T,1); "
+    f"y(f) = {PLOT_BOTTOM:g} - f * {(PLOT_BOTTOM - PLOT_TOP):g} -->",
+    '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
+    f'<text x="{SVG_WIDTH / 2:.2f}" y="24" text-anchor="middle" font-size="16" '
+    'font-family="sans-serif">',
+])
+_SVG_GRID = "\n".join(
+    f'<line x1="{PLOT_LEFT:.2f}" y1="{svg_y(f):.2f}" x2="{PLOT_RIGHT:.2f}" y2="{svg_y(f):.2f}" '
+    'stroke="#dddddd" stroke-width="1"/>\n'
+    f'<text x="{PLOT_LEFT - 8:.2f}" y="{svg_y(f) + 4:.2f}" text-anchor="end" font-size="11" '
+    f'font-family="sans-serif">{f:.2f}</text>'
+    for f in (0.0, 0.25, 0.5, 0.75, 1.0)
+)
+_SVG_AXES = (
+    f'<line x1="{PLOT_LEFT:.2f}" y1="{PLOT_BOTTOM:.2f}" x2="{PLOT_RIGHT:.2f}" '
+    f'y2="{PLOT_BOTTOM:.2f}" stroke="#000000" stroke-width="1.5"/>\n'
+    f'<line x1="{PLOT_LEFT:.2f}" y1="{PLOT_TOP:.2f}" x2="{PLOT_LEFT:.2f}" '
+    f'y2="{PLOT_BOTTOM:.2f}" stroke="#000000" stroke-width="1.5"/>'
+)
+_SVG_AXIS_LABELS = (
+    f'<text x="{(PLOT_LEFT + PLOT_RIGHT) / 2:.2f}" y="{SVG_HEIGHT - 12}" '
+    'text-anchor="middle" font-size="12" font-family="sans-serif">iteration</text>\n'
+    f'<text x="16" y="{(PLOT_TOP + PLOT_BOTTOM) / 2:.2f}" text-anchor="middle" '
+    'font-size="12" font-family="sans-serif" '
+    f'transform="rotate(-90 16 {(PLOT_TOP + PLOT_BOTTOM) / 2:.2f})">population share</text>'
+)
+_LEGEND_X = PLOT_RIGHT + 24
+_SVG_LEGEND = [
+    f'<line x1="{_LEGEND_X:.2f}" y1="{ly:.2f}" x2="{_LEGEND_X + 22:.2f}" y2="{ly:.2f}" '
+    f'stroke="{STRATEGY_COLORS[strategy]}" stroke-width="2"/>\n'
+    f'<text x="{_LEGEND_X + 28:.2f}" y="{ly + 4:.2f}" text-anchor="start" font-size="12" '
+    f'font-family="sans-serif">{strategy.value}</text>'
+    for strategy, ly in ((s, PLOT_TOP + 16 + i * 22) for i, s in enumerate(STRATEGY_ORDER))
+]
+
+
+@functools.lru_cache(maxsize=32)
+def _x_axis(max_iteration: int) -> tuple[str, tuple[str, ...]]:
+    """For a chart of iterations 0..``max_iteration``: its x tick marks and
+    labels (thinned if there are many), and each iteration's x text
+    followed by the comma of its point."""
+    xs = [f"{svg_x(t, max_iteration):.2f}" for t in range(max_iteration + 1)]
+    tick_step = max(1, (max_iteration or 1) // 10)
+    ticks = "\n".join(
+        f'<line x1="{xs[t]}" y1="{PLOT_BOTTOM:.2f}" x2="{xs[t]}" '
+        f'y2="{PLOT_BOTTOM + 5:.2f}" stroke="#000000" stroke-width="1"/>\n'
+        f'<text x="{xs[t]}" y="{PLOT_BOTTOM + 18:.2f}" text-anchor="middle" font-size="11" '
+        f'font-family="sans-serif">{t}</text>'
+        for t in range(0, max_iteration + 1, tick_step)
+    )
+    return ticks, tuple(x + "," for x in xs)
+
+
+def _y_text(fraction: float) -> str:
+    return f"{svg_y(fraction):.2f}"
+
+
 def render_trend_svg(series: Sequence[dict[Strategy, float]], title: str) -> str:
     """Strategy-share trend chart as a standalone, byte-deterministic SVG.
 
@@ -521,89 +608,18 @@ def render_trend_svg(series: Sequence[dict[Strategy, float]], title: str) -> str
     """
     if not series:
         raise EmptySeries("cannot render a trend for an empty census series")
-    max_iteration = len(series) - 1
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
-        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        "<!-- strategy colours: "
-        + ", ".join(f"{s.value}={STRATEGY_COLORS[s]}" for s in STRATEGY_ORDER)
-        + " -->",
-        "<!-- mapping: x(t) = "
-        f"{PLOT_LEFT:g} + t * {(PLOT_RIGHT - PLOT_LEFT):g}/max(T,1); "
-        f"y(f) = {PLOT_BOTTOM:g} - f * {(PLOT_BOTTOM - PLOT_TOP):g} -->",
-        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{SVG_WIDTH / 2:.2f}" y="24" text-anchor="middle" font-size="16" '
-        f'font-family="sans-serif">{_escape(title)}</text>',
-    ]
-
-    # Horizontal gridlines and y tick labels every 0.25.
-    for quarter in range(5):
-        fraction = quarter / 4
-        y = svg_y(fraction)
+    ticks, xs = _x_axis(len(series) - 1)
+    ys = _Memo(_y_text)  # by share: a run's shares take few distinct values
+    parts = [_SVG_HEAD + _escape(title) + "</text>", _SVG_GRID, _SVG_AXES, ticks, _SVG_AXIS_LABELS]
+    for strategy, legend in zip(STRATEGY_ORDER, _SVG_LEGEND):
+        points = " ".join(map(str.__add__, xs, [ys[row[strategy]] for row in series]))
         parts.append(
-            f'<line x1="{PLOT_LEFT:.2f}" y1="{y:.2f}" x2="{PLOT_RIGHT:.2f}" y2="{y:.2f}" '
-            'stroke="#dddddd" stroke-width="1"/>'
+            f'<polyline fill="none" stroke="{STRATEGY_COLORS[strategy]}" stroke-width="2" '
+            f'points="{points}"/>'
         )
-        parts.append(
-            f'<text x="{PLOT_LEFT - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" font-size="11" '
-            f'font-family="sans-serif">{fraction:.2f}</text>'
-        )
-
-    # Axes.
-    parts.append(
-        f'<line x1="{PLOT_LEFT:.2f}" y1="{PLOT_BOTTOM:.2f}" x2="{PLOT_RIGHT:.2f}" '
-        f'y2="{PLOT_BOTTOM:.2f}" stroke="#000000" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{PLOT_LEFT:.2f}" y1="{PLOT_TOP:.2f}" x2="{PLOT_LEFT:.2f}" '
-        f'y2="{PLOT_BOTTOM:.2f}" stroke="#000000" stroke-width="1.5"/>'
-    )
-
-    # X ticks at each iteration (thinned if there are many).
-    tick_step = max(1, (max_iteration or 1) // 10)
-    for t in range(0, max_iteration + 1, tick_step):
-        x = svg_x(t, max_iteration)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{PLOT_BOTTOM:.2f}" x2="{x:.2f}" '
-            f'y2="{PLOT_BOTTOM + 5:.2f}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{PLOT_BOTTOM + 18:.2f}" text-anchor="middle" font-size="11" '
-            f'font-family="sans-serif">{t}</text>'
-        )
-    parts.append(
-        f'<text x="{(PLOT_LEFT + PLOT_RIGHT) / 2:.2f}" y="{SVG_HEIGHT - 12}" '
-        'text-anchor="middle" font-size="12" font-family="sans-serif">iteration</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{(PLOT_TOP + PLOT_BOTTOM) / 2:.2f}" text-anchor="middle" '
-        'font-size="12" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {(PLOT_TOP + PLOT_BOTTOM) / 2:.2f})">population share</text>'
-    )
-
-    # One polyline per strategy plus its legend entry.
-    legend_x = PLOT_RIGHT + 24
-    for index, strategy in enumerate(STRATEGY_ORDER):
-        color = STRATEGY_COLORS[strategy]
-        points = " ".join(
-            f"{svg_x(t, max_iteration):.2f},{svg_y(row[strategy]):.2f}"
-            for t, row in enumerate(series)
-        )
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>'
-        )
-        ly = PLOT_TOP + 16 + index * 22
-        parts.append(
-            f'<line x1="{legend_x:.2f}" y1="{ly:.2f}" x2="{legend_x + 22:.2f}" y2="{ly:.2f}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28:.2f}" y="{ly + 4:.2f}" text-anchor="start" font-size="12" '
-            f'font-family="sans-serif">{strategy.value}</text>'
-        )
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(legend)
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def write_trend_svg(
@@ -612,9 +628,7 @@ def write_trend_svg(
     title: str,
     path: str | Path,
 ) -> Path:
-    path = Path(path)
-    path.write_text(render_trend_svg(census_series(initial_census, records), title), encoding="utf-8")
-    return path
+    return _write_text(path, render_trend_svg(census_series(initial_census, records), title))
 
 
 def convergence_stats(rows: Sequence[BatchRow]) -> dict:

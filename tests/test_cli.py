@@ -345,7 +345,8 @@ class TestReport:
         assert ">X</text>" in (tmp_path / "titled" / "trend.svg").read_text()
         assert (tmp_path / "default" / "trend.svg").read_text() == (out / "trend.svg").read_text()
 
-    HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "initial_census": {"M": 2}})
+    HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "status": "completed",
+                         "initial_census": {"M": 2}})
     SCOLD = (b'{"kind": "punishment", "iteration": 1, "punisher": "a1", "target": "%s", '
              b'"level": "defection", "cost_to_punisher": 1.0, "cost_to_target": 6.0}\n')
 
@@ -451,6 +452,18 @@ class TestReport:
          "line 2", "location must be a string, not 5"),
         (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"group": "g1"', b'"group": ["g1"]', 1),
          "line 2", "group must be a string, not ['g1']"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"uniform_draw": 0.5', b'"uniform_draw": 1.0', 1),
+         "line 4", "uniform_draw must be in [0, 1), not 1.0"),
+        (HEADER.replace('"status": "completed"', '"status": "banana"').encode(),
+         "line 1", "'banana' is not a valid RunStatus"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2", "a3", "a4").replace(
+            b'"meal_payoffs": {"a1"', b'"meal_payoffs": {"zz"'),
+         "line 2", "meal_payoffs keys differ from the choices of group 'g1' in iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2", "a3", "a4").replace(b', "a4": 0.5}', b"}"),
+         "line 2", "meal_payoffs keys differ from the choices of group 'g1' in iteration 1"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2").replace(
+            b'"meal_payoffs": {"a1": 0.5, "a2": 0.5}', b'"meal_payoffs": {"a2": 0.5, "a1": 0.5}'),
+         "line 2", "meal_payoffs keys are not in the seat order of the choices of group 'g1' in iteration 1"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
@@ -462,7 +475,8 @@ class TestReport:
             "ghost-role-model", "cost-not-number", "cost-is-bool", "adopted-not-bool",
             "draw-out-of-range", "probability-null", "probability-out-of-range", "adopted-flipped",
             "payoff-diff-not-number", "utility-not-number", "meal-payoff-not-number",
-            "bill-total-not-number", "location-not-string", "group-not-string"])
+            "bill-total-not-number", "location-not-string", "group-not-string", "draw-equals-one", "status-unknown",
+            "meal-payoff-key-renamed", "meal-payoff-key-dropped", "meal-payoffs-not-in-seat-order"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)

@@ -8,12 +8,18 @@ from itertools import cycle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dinersim.reporting as reporting
 from dinersim.config_io import config_to_dict
 from dinersim.model import (
+    STRATEGY_ORDER,
     BackendConfig,
+    GroupRound,
     ImitationOutcome,
+    IterationRecord,
+    MealChoice,
+    MenuConfig,
     PunishmentEvent,
     PunishmentLevel,
     PunishmentMode,
@@ -203,6 +209,18 @@ class TestEventLog:
             for o in outcomes
         ]
 
+    def test_ids_holding_unicode_line_breaks_round_trip(self, preset_run, tmp_path):
+        """The writer leaves U+2028 and U+0085 unescaped, as ``json`` does, and
+        the loader splits lines at newlines only."""
+        text = "".join(f"{line}\n" for line in event_log_lines(preset_run))
+        text = text.replace('"a1"', '"a1\u2028"').replace('"a2"', '"a2\x85"')
+        path = tmp_path / "events.jsonl"
+        path.write_text(text, encoding="utf-8")
+        loaded = load_event_log(path)
+        assert any("a1\u2028" in g.orders for r in loaded.records for g in r.groups)
+        _, *body = event_log_lines(replace(preset_run, records=loaded.records))
+        assert "".join(f"{line}\n" for line in body) == text.split("\n", 1)[1]
+
     def test_unreadable_line_raises_event_log_error(self, preset_run, tmp_path):
         path = write_event_log(preset_run, tmp_path / "events.jsonl")
         lines = path.read_text().splitlines()
@@ -259,6 +277,150 @@ class TestEventLog:
         with pytest.raises(OSError, match="disk full"):
             write_event_log(preset_run, target)
         assert not target.exists()
+
+    @pytest.mark.parametrize("writer", ["events.jsonl", "census.csv", "trend.svg"])
+    def test_failed_disk_write_removes_partial_file(self, preset_run, tmp_path, monkeypatch, writer):
+        """A write that fails after some bytes reached the file leaves no file."""
+        real_open = open
+
+        def full_disk(path, mode):
+            handle = real_open(path, mode)
+
+            def write(data):
+                handle.raw.write(data[:10])
+                raise OSError("disk full")
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(reporting, "open", full_disk, raising=False)
+        target = tmp_path / writer
+        write = {
+            "events.jsonl": lambda: write_event_log(preset_run, target),
+            "census.csv": lambda: write_census_csv(preset_run.initial_census, preset_run.records, target),
+            "trend.svg": lambda: reporting.write_trend_svg(
+                preset_run.initial_census, preset_run.records, "t", target
+            ),
+        }[writer]
+        with pytest.raises(OSError, match="disk full"):
+            write()
+        assert not target.exists()
+
+
+def reference_lines(result) -> list[str]:
+    """The event log of ``result`` with each line's fields as a dict, through
+    ``json.dumps``: the writer's templates must give the same text."""
+
+    def dumps(fields: dict) -> str:
+        return json.dumps(fields, separators=(",", ":"), ensure_ascii=False)
+
+    def counts(census: dict) -> dict:
+        return {s.value: census.get(s, 0) for s in STRATEGY_ORDER}
+
+    handle = result.handle
+    lines = [dumps({
+        "kind": "header", "schema": 1, "run_id": handle.run_id, "seed": handle.seed,
+        "status": handle.status.value, "iterations_executed": handle.iterations_executed,
+        "initial_census": counts(result.initial_census), "config": config_to_dict(result.config),
+    })]
+    for record in result.records:
+        lines += [
+            dumps({
+                "kind": "orders", "iteration": record.iteration, "group": g.group_id, "location": g.location,
+                "choices": {a: c.value for a, c in g.orders.items()}, "bill_total": g.bill_total,
+                "meal_payoffs": g.meal_payoffs,
+            })
+            for g in record.groups
+        ]
+        lines += [
+            dumps({
+                "kind": "punishment", "iteration": e.iteration, "punisher": e.punisher_id,
+                "target": e.target_id, "level": e.level.value, "cost_to_punisher": e.cost_to_punisher,
+                "cost_to_target": e.cost_to_target,
+            })
+            for e in record.punishment_events
+        ]
+        lines.append(dumps({"kind": "utilities", "iteration": record.iteration, "values": record.iteration_utilities}))
+        lines += [
+            dumps({
+                "kind": "imitation", "iteration": record.iteration, "focal": o.focal_id,
+                "role_model": o.role_model_id, "payoff_diff": o.payoff_diff, "probability": o.probability,
+                "uniform_draw": o.uniform_draw, "adopted": o.adopted,
+            })
+            for o in record.imitation_outcomes
+        ]
+        lines.append(dumps({"kind": "census", "iteration": record.iteration, "counts": counts(record.strategy_census)}))
+    return lines
+
+
+# Values as the writer may meet them: ints past 2**53, floats at the edges of
+# their range and not finite, float subclasses and bools.
+ODD_NUMBERS = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 2**53 + 1]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.booleans(),
+)
+ODD_IDS = st.one_of(
+    st.text(min_size=1, max_size=6),
+    st.sampled_from(['"', "\\", 'say "hi"', "back\\slash", "\x00", "\x1f", "\x7f", "\u2028", "\x85", "zoë", "名前"]),
+)
+
+
+@st.composite
+def odd_records(draw):
+    """One iteration record of one or two groups, with odd ids and values."""
+    agent_ids = draw(st.lists(ODD_IDS, min_size=2, max_size=7, unique=True))
+    cut = draw(st.integers(1, len(agent_ids) - 1))
+    groups = tuple(
+        GroupRound(
+            draw(ODD_IDS), draw(ODD_IDS),
+            {a: draw(st.sampled_from(MealChoice)) for a in members},
+            draw(ODD_NUMBERS),
+            {a: draw(ODD_NUMBERS) for a in members},
+            tuple(
+                PunishmentEvent(draw(st.integers(0, 2**60)), draw(st.sampled_from(members)),
+                                draw(st.sampled_from(members)), draw(st.sampled_from(PunishmentLevel)),
+                                draw(ODD_NUMBERS), draw(ODD_NUMBERS))
+                for _ in range(draw(st.integers(0, 2)))
+            ),
+            {a: draw(ODD_NUMBERS) for a in members},
+        )
+        for members in (agent_ids[:cut], agent_ids[cut:])[:draw(st.integers(1, 2))]
+    )
+    outcomes = tuple(
+        ImitationOutcome(a, draw(st.sampled_from(agent_ids)), draw(ODD_NUMBERS), draw(ODD_NUMBERS),
+                         draw(ODD_NUMBERS), draw(st.booleans()))
+        for a in agent_ids
+    )
+    census = {s: draw(ODD_NUMBERS) for s in draw(st.lists(st.sampled_from(Strategy), unique=True))}
+    return IterationRecord(draw(st.integers(0, 2**64)), groups, outcomes, census)
+
+
+class TestTemplatedLines:
+    @given(record=odd_records(), run_id=ODD_IDS, seed=st.integers(0, 2**64 - 1),
+           status=st.sampled_from(RunStatus), executed=st.integers(0, 2**60))
+    @settings(max_examples=300, deadline=None)
+    def test_every_line_equals_json_dumps(self, record, run_id, seed, status, executed):
+        config = replace(oracle_preset(), seed=seed)
+        result = RunResult(RunHandle(run_id, seed, status, executed), config, [record], {}, [], None)
+        assert list(event_log_lines(result)) == reference_lines(result)
+
+    @given(number=st.sampled_from([int, float]), punishment=st.sampled_from([(3, 1), (6, 1), (6.0, 1.5)]),
+           seed=st.integers(0, 2**64 - 1), early_stop=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_int_and_float_menus(self, number, punishment, seed, early_stop):
+        """Whole logs of runs whose menu and (p, k) are ints or floats."""
+        from dinersim.backends.oracle import RuleOracle
+
+        p, k = punishment
+        config = make_config(
+            [["M", "P", "E", "R1"], ["R1", "R1", "E", "M"]], p=p, k=k, seed=seed, iterations=4
+        )
+        config = replace(config, menu=MenuConfig(*map(number, (10, 12, 30, 22))))
+        result = run_simulation(config, RuleOracle(), early_stop=early_stop)
+        assert list(event_log_lines(result)) == reference_lines(result)
 
 
 class TestCensusCsv:
