@@ -139,7 +139,9 @@ class DecisionBackend(ABC):
     #: ignores the roster, ``menu``, ``target_name`` and ``spared``. The
     #: engine then serves its group rounds from one outcome table per
     #: process, shared by every instance of every pure class and keyed by the
-    #: class (see ``engine.run_group_round``). Failures are never stored.
+    #: class, the config and the member types in seat order: a repeat seating
+    #: asks the backend nothing (see ``engine.run_group_round``). Failures are
+    #: never stored.
     pure: bool = False
 
     @abstractmethod

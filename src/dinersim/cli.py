@@ -30,6 +30,7 @@ from .model import (
 )
 from .reporting import (
     EventLogError,
+    census_series,
     convergence_stats,
     load_event_log,
     render_trend_svg,  # unused here; the benchmark's tracer wraps it in this module
@@ -52,6 +53,16 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def utf8_text(text: str) -> str:
+    """A string that can be written as UTF-8: a byte that is not UTF-8 in
+    an argument decodes to a lone surrogate, which cannot be."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"not UTF-8 text: {text!r}") from None
+    return text
 
 
 @functools.cache
@@ -120,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="rebuild census.csv and trend.svg from an event log")
     report.add_argument("--log", required=True, help="path to an events.jsonl file")
     report.add_argument("--out", required=True, help="output directory")
-    report.add_argument("--title", default=None, help="chart title override")
+    report.add_argument("--title", type=utf8_text, default=None, help="chart title override")
     report.set_defaults(func=cmd_report)
 
     return parser
@@ -145,9 +156,9 @@ def write_census_files(
     run_dir: Path, run_id: str, initial, records, title: str | None = None
 ) -> None:
     """A run directory's ``census.csv`` and ``trend.svg``, for every command."""
-    title = title or f"Strategy shares (run {run_id})"
-    write_census_csv(initial, records, run_dir / "census.csv")
-    write_trend_svg(initial, records, title, run_dir / "trend.svg")
+    series = census_series(initial, records)
+    write_census_csv(series, run_dir / "census.csv")
+    write_trend_svg(series, title or f"Strategy shares (run {run_id})", run_dir / "trend.svg")
 
 
 def write_run_outputs(result: RunResult, run_dir: Path) -> Path:

@@ -98,6 +98,13 @@ def from_data(tp: Any, data: Any, where: str) -> Any:
         return float(data)
     if type(data) is not tp:
         raise ConfigFormatError(f"{where} must be a {tp.__name__}, got {data!r}")
+    if tp is str:
+        # A JSON escape such as "\ud800" decodes to a lone surrogate, which
+        # no output file could hold.
+        try:
+            data.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigFormatError(f"{where} cannot be written as UTF-8, got {data!r}") from None
     return data
 
 

@@ -328,28 +328,13 @@ def apply_utilities(
     return utilities
 
 
-# Entries the outcome table holds, outcomes by type and seatings together. A
-# group of n members has C(n + 4, 4) multisets of (strategy, flag) types per
-# config, and more seatings, so large groups must not grow it without bound.
+# Seatings the outcome table holds. A group of n members has up to 5^n seatings
+# of (strategy, flag) types per config, so large groups must not grow it
+# without bound.
 GROUP_MEMO_LIMIT = 4096
 
 # A member's type: the (strategy, r1_punished) pair a pure backend decides on.
 _MemberType = tuple[Strategy, bool]
-
-
-class _MemoOutcome(NamedTuple):
-    """A pure backend's group outcome by member type, free of seat order.
-
-    Every seat of a type orders the same meal and gets the same flag update.
-    ``events`` lists, per punishment level in pipeline order, each punisher
-    type's target types with their (cost_to_punisher, cost_to_target): every
-    seat of the punisher type punished every seat of the target type at that
-    level.
-    """
-
-    choices: dict[_MemberType, MealChoice]
-    converted: frozenset[_MemberType]  # types whose r1_punished flag this round set
-    events: tuple[tuple[PunishmentLevel, dict[_MemberType, dict[_MemberType, tuple[float, float]]]], ...]
 
 
 class _Seating(NamedTuple):
@@ -368,23 +353,19 @@ class _Seating(NamedTuple):
     events: tuple[tuple[int, int, PunishmentLevel, float, float], ...]
 
 
-# The outcome table every pure backend in the process shares. Both parts are
-# keyed by (config key, member types): ``_outcomes`` by the sorted types,
-# ``_seatings`` by the types in seat order. Reads take no lock; every write
-# holds ``_table_lock``, so the parts never hold more than GROUP_MEMO_LIMIT
-# entries together.
-_outcomes: dict[tuple, _MemoOutcome] = {}
+# The outcome table every pure backend in the process shares, keyed by
+# (config key, member types in seat order). Reads take no lock; every write
+# holds ``_table_lock``, so it never holds more than GROUP_MEMO_LIMIT entries.
 _seatings: dict[tuple, _Seating] = {}
 _table_lock = threading.Lock()
 
 
-def _store(part: dict, key: tuple, value) -> None:
-    """Add one entry to a part of the table, emptying the full table first."""
+def _store(key: tuple, seating: _Seating) -> None:
+    """Add one seating to the table, emptying the full table first."""
     with _table_lock:
-        if len(_outcomes) + len(_seatings) >= GROUP_MEMO_LIMIT:
-            _outcomes.clear()
+        if len(_seatings) >= GROUP_MEMO_LIMIT:
             _seatings.clear()
-        part[key] = value
+        _seatings[key] = seating
 
 
 # The last (backend class, menu, params, error policy) seen and its key. The
@@ -424,41 +405,32 @@ def run_group_round(
     """Run the full per-group pipeline for one iteration.
 
     A pure backend's rounds go through the process-wide outcome table, keyed
-    by the backend's class and the config (``_config_key``). A seating seen
-    before, the same member types in the same seat order, rebuilds its round
-    from the stored numbers (``_reseat``). A new seating of a known type
-    multiset maps the outcome by type onto the seats (``_replay``), then
-    settles the bill and the utilities in seat order like a miss: float sums
-    depend on their order, so a bill holds for its own seating only. Only a
-    multiset new to the table asks the backend.
+    by the backend's class and the config (``_config_key``) and the member
+    types in seat order. A seating seen before rebuilds its round from the
+    stored numbers (``_reseat``), with no backend call and no bill or utility
+    sums. A new seating runs the pipeline and is stored: float sums depend on
+    their order, so a bill holds for its own seating only.
     """
-    outcome = None
     if backend.pure:
-        config = _config_key(backend, menu, params, error_policy)
         types = tuple([(a.strategy, a.r1_punished) for a in group])
-        seating = _seatings.get((config, types))
+        key = (_config_key(backend, menu, params, error_policy), types)
+        seating = _seatings.get(key)
         if seating is not None:
             return _reseat(group, seating, group_id=group_id, location=location, iteration=iteration)
-        multiset = (config, tuple(sorted(types)))
-        outcome = _outcomes.get(multiset)
-    if outcome is None:
-        orders = collect_orders(
-            group, menu, backend, iteration=iteration, location=location, params=params,
-        )
-        meal_payoffs = settle_bill(orders, menu)
-        round1_events, spared = punishment_round_1(
-            group, orders, backend, params,
-            iteration=iteration, location=location, error_policy=error_policy,
-        )
-        round2_events = metanorm_round_2(
-            group, spared, backend, params,
-            orders=orders, round1_events=round1_events,
-            iteration=iteration, location=location, error_policy=error_policy,
-        )
-        events = tuple(round1_events + round2_events)
-    else:
-        orders, events = _replay(group, types, outcome, iteration=iteration)
-        meal_payoffs = settle_bill(orders, menu)
+    orders = collect_orders(
+        group, menu, backend, iteration=iteration, location=location, params=params,
+    )
+    meal_payoffs = settle_bill(orders, menu)
+    round1_events, spared = punishment_round_1(
+        group, orders, backend, params,
+        iteration=iteration, location=location, error_policy=error_policy,
+    )
+    round2_events = metanorm_round_2(
+        group, spared, backend, params,
+        orders=orders, round1_events=round1_events,
+        iteration=iteration, location=location, error_policy=error_policy,
+    )
+    events = tuple(round1_events + round2_events)
     result = GroupRound(
         group_id=group_id,
         location=location,
@@ -470,64 +442,8 @@ def run_group_round(
     )
     # Threads that miss one key together store equal values.
     if backend.pure:
-        if outcome is None:
-            _store(_outcomes, multiset, _memo_outcome(group, types, result))
-        _store(_seatings, (config, types), _seating(group, types, result))
+        _store(key, _seating(group, types, result))
     return result
-
-
-def _memo_outcome(
-    group: Sequence[AgentState],
-    types: Sequence[_MemberType],
-    result: GroupRound,
-) -> _MemoOutcome:
-    """Reduce a miss to its outcome by type; ``types`` are the pre-round ones.
-
-    Sound for a pure backend: decisions depend only on the actor's type, so
-    membership in every stage is decided by type, and within a stage the
-    observer types and the target types are disjoint.
-    """
-    type_of = {a.agent_id: t for a, t in zip(group, types)}
-    events: dict[PunishmentLevel, dict[_MemberType, dict[_MemberType, tuple[float, float]]]] = {}
-    for e in result.punishment_events:
-        targets = events.setdefault(e.level, {}).setdefault(type_of[e.punisher_id], {})
-        targets[type_of[e.target_id]] = (e.cost_to_punisher, e.cost_to_target)
-    return _MemoOutcome(
-        choices={type_of[a]: choice for a, choice in result.orders.items()},
-        converted=frozenset(t for a, t in zip(group, types) if a.r1_punished != t[1]),
-        events=tuple(events.items()),
-    )
-
-
-def _replay(
-    group: Sequence[AgentState],
-    types: Sequence[_MemberType],
-    outcome: _MemoOutcome,
-    *,
-    iteration: int,
-) -> tuple[dict[str, MealChoice], tuple[PunishmentEvent, ...]]:
-    """Map a memoised outcome onto the current seats and set the flags.
-
-    Returns the orders in seat order and the events in pipeline order:
-    level, then punisher seat, then target seat.
-    """
-    seats = [(a.agent_id, t) for a, t in zip(group, types)]
-    events = []
-    for level, punishers in outcome.events:
-        for punisher_id, punisher in seats:
-            targets = punishers.get(punisher)
-            if targets is None:
-                continue
-            for target_id, target in seats:
-                costs = targets.get(target)
-                if costs is None:
-                    continue
-                cost_k, cost_p = costs
-                events.append(PunishmentEvent(iteration, punisher_id, target_id, level, cost_k, cost_p))
-    for agent, t in zip(group, types):
-        if t in outcome.converted:
-            agent.r1_punished = True
-    return {a: outcome.choices[t] for a, t in seats}, tuple(events)
 
 
 def _seating(

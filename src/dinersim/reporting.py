@@ -169,12 +169,14 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
 
 def _write_text(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` as UTF-8 in one call, with no newline
-    translation; a failed write removes the partial file."""
+    translation. Text that does not encode leaves no file; a failed write
+    removes the partial file."""
     if not isinstance(path, Path):  # Path(path) would parse a Path again
         path = Path(path)
+    data = text.encode("utf-8")
     try:
         with open(path, "wb") as handle:
-            handle.write(text.encode("utf-8"))
+            handle.write(data)
     except OSError:
         path.unlink(missing_ok=True)
         raise
@@ -496,18 +498,15 @@ def census_series(
     return rows
 
 
-def write_census_csv(
-    initial_census: dict[Strategy, int],
-    records: Sequence[IterationRecord],
-    path: str | Path,
-) -> Path:
-    """CSV columns: iteration, M, P, E, R1 as 6-decimal population fractions.
+def write_census_csv(series: Sequence[dict[Strategy, float]], path: str | Path) -> Path:
+    """CSV columns: iteration, M, P, E, R1 as 6-decimal population fractions,
+    one row per ``census_series`` row.
 
     Rows end in CRLF, as ``csv.writer`` ends them; no field needs quoting.
     """
     m, p, e, r1 = STRATEGY_ORDER
     lines = ["iteration," + ",".join(_CENSUS_LABELS) + "\r\n"]
-    for iteration, row in enumerate(census_series(initial_census, records)):
+    for iteration, row in enumerate(series):
         lines.append(f"{iteration},{row[m]:.6f},{row[p]:.6f},{row[e]:.6f},{row[r1]:.6f}\r\n")
     return _write_text(path, "".join(lines))
 
@@ -622,13 +621,8 @@ def render_trend_svg(series: Sequence[dict[Strategy, float]], title: str) -> str
     return "\n".join(parts)
 
 
-def write_trend_svg(
-    initial_census: dict[Strategy, int],
-    records: Sequence[IterationRecord],
-    title: str,
-    path: str | Path,
-) -> Path:
-    return _write_text(path, render_trend_svg(census_series(initial_census, records), title))
+def write_trend_svg(series: Sequence[dict[Strategy, float]], title: str, path: str | Path) -> Path:
+    return _write_text(path, render_trend_svg(series, title))
 
 
 def convergence_stats(rows: Sequence[BatchRow]) -> dict:

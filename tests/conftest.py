@@ -36,21 +36,19 @@ def oracle():
 
 @contextmanager
 def fresh_group_table():
-    """Swap in an empty engine outcome table; yields its two parts, the
-    outcomes by type and the seatings."""
+    """Swap in an empty engine outcome table; yields its seatings dict."""
     from dinersim import engine
 
-    outcomes, seatings = {}, {}
+    seatings = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_outcomes", outcomes)
         patch.setattr(engine, "_seatings", seatings)
-        yield outcomes, seatings
+        yield seatings
 
 
 @pytest.fixture
 def group_table():
-    with fresh_group_table() as parts:
-        yield parts
+    with fresh_group_table() as seatings:
+        yield seatings
 
 
 def make_group(labels: list[str], prefix: str = "a", punished: set[str] | None = None) -> list[AgentState]:

@@ -81,6 +81,22 @@ class TestSimulate:
         assert code == 2
         assert "backend.repair_retries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["simulate"], ["replicate", "--seeds", "2"]])
+    @pytest.mark.parametrize("key", ["name", "agent_id"])
+    def test_lone_surrogate_in_config_exits_two_and_writes_nothing(
+        self, oracle_config_path, tmp_path, capsys, command, key
+    ):
+        # Valid JSON that no UTF-8 file can hold.
+        text = oracle_config_path.read_text().replace(f'"{key}": "', f'"{key}": "\\ud800', 1)
+        assert "\\ud800" in text
+        oracle_config_path.write_text(text)
+        out = tmp_path / "out"
+        code = main([*command, "--config", str(oracle_config_path),
+                     "--backend", "oracle", "--out", str(out)])
+        assert code == 2
+        assert f"config.agents[0].{key} cannot be written as UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_early_stop_flag_accepted(self, oracle_config_path, tmp_path):
         assert main(["simulate", "--config", str(oracle_config_path),
                      "--backend", "oracle", "--out", str(tmp_path / "out"),
@@ -256,6 +272,18 @@ class TestEvalBackend:
                      "--suite", str(suite_path)])
         assert code == 2
 
+    def test_lone_surrogate_in_suite_is_config_error(self, tmp_path, capsys):
+        suite_path = tmp_path / "suite.json"
+        assert main(["eval-backend", "--backend", "oracle", "--out", str(tmp_path / "first.json"),
+                     "--save-suite", str(suite_path)]) == 0
+        text = suite_path.read_text().replace('"scenario_id": "', '"scenario_id": "\\ud800', 1)
+        suite_path.write_text(text)
+        code = main(["eval-backend", "--backend", "oracle", "--out", str(tmp_path / "r.json"),
+                     "--suite", str(suite_path)])
+        assert code == 2
+        assert "suite[0].scenario_id cannot be written as UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_empty_suite_is_config_error(self, tmp_path, capsys):
         suite_path = tmp_path / "suite.json"
         suite_path.write_text("[]\n")
@@ -344,6 +372,19 @@ class TestReport:
         assert main(["report", "--log", log, "--out", str(tmp_path / "default")]) == 0
         assert ">X</text>" in (tmp_path / "titled" / "trend.svg").read_text()
         assert (tmp_path / "default" / "trend.svg").read_text() == (out / "trend.svg").read_text()
+
+    def test_title_that_cannot_be_utf8_exits_two_and_writes_nothing(self, oracle_config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(oracle_config_path),
+                     "--backend", "oracle", "--out", str(out)]) == 0
+        rebuilt = tmp_path / "rebuilt"
+        # How Python decodes the argument byte 0xff on a UTF-8 system.
+        title = b"bad\xff".decode("utf-8", "surrogateescape")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["report", "--log", str(out / "events.jsonl"), "--out", str(rebuilt), "--title", title])
+        assert exc_info.value.code == 2
+        assert "--title: not UTF-8 text" in capsys.readouterr().err
+        assert not rebuilt.exists()
 
     HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "status": "completed",
                          "initial_census": {"M": 2}})

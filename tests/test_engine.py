@@ -536,9 +536,8 @@ class TestGroupMemo:
         assert not DecisionBackend.pure and not LlmBackend.pure and not ImpureOracle.pure
 
     def test_hit_equals_miss(self, oracle, group_table, monkeypatch):
-        outcomes, seatings = group_table
         _, miss = self.round_at(oracle, iteration=1)
-        assert (len(outcomes), len(seatings)) == (1, 1)
+        assert len(group_table) == 1
 
         for stage in ("collect_orders", "punishment_round_1", "metanorm_round_2"):
             monkeypatch.setattr(engine, stage, no_pipeline)
@@ -559,22 +558,27 @@ class TestGroupMemo:
     ])
     def test_replay_is_free_of_seat_order_and_float_order(self, oracle, group_table, monkeypatch, seatings):
         # One-decimal costs: 0.7+0.1+0.1+0.1 != 0.1+0.1+0.1+0.7 in floats, so
-        # a new seating must settle the bill and the utilities in its own seat
+        # each seating settles the bill and the utilities in its own seat
         # order, and a stored bill holds for its own seating only.
         options = dict(
             menu=MenuConfig(budget_cost=0.1, budget_value=0.2, premium_cost=0.7, premium_value=0.5),
             params=PunishmentParams(p=0.3, k=0.1),
         )
-        first, *rest = seatings
-        results = [self.round_at(oracle, 1, labels=first, **options)[1]]
-        for iteration, labels in enumerate(rest, start=2):
-            monkeypatch.setattr(engine, "collect_orders", no_pipeline)
+        pipeline_runs = []
+
+        def counting_collect_orders(*args, **kwargs):
+            pipeline_runs.append(1)
+            return collect_orders(*args, **kwargs)
+
+        results = []
+        for iteration, labels in enumerate(seatings, start=1):
+            monkeypatch.setattr(engine, "collect_orders", counting_collect_orders)
             group, result = self.round_at(oracle, iteration, labels=labels, **options)
             monkeypatch.undo()
             self.assert_equals_reference(group, result, iteration, labels=labels, **options)
             results.append(result)
-        outcomes, stored = group_table
-        assert (len(outcomes), len(stored)) == (1, 3)
+        assert len(pipeline_runs) == 3  # each new seating runs the pipeline once
+        assert len(group_table) == 3
         assert len({r.bill_total for r in results}) > 1  # the float order mattered
 
         # Each seating again, now from its stored numbers.
@@ -585,31 +589,30 @@ class TestGroupMemo:
             group, result = self.round_at(oracle, iteration, labels=labels, **options)
             monkeypatch.undo()
             self.assert_equals_reference(group, result, iteration, labels=labels, **options)
-        assert (len(outcomes), len(stored)) == (1, 3)
+        assert len(group_table) == 3
 
     def test_backend_decided_mode_raises_on_every_call(self, oracle, group_table):
         params = PunishmentParams(mode=PunishmentMode.BACKEND_DECIDED)
         for iteration in (1, 2, 3):
             with pytest.raises(UnsupportedModeError):
                 self.round_at(oracle, iteration, params=params)
-        assert group_table == ({}, {})
+        assert group_table == {}
 
     def test_full_table_empties_and_refills(self, oracle, group_table, monkeypatch):
-        outcomes, seatings = group_table
-        monkeypatch.setattr(engine, "GROUP_MEMO_LIMIT", 2)
+        monkeypatch.setattr(engine, "GROUP_MEMO_LIMIT", 1)
         self.round_at(oracle, 1)
-        first = set(seatings)
+        first = set(group_table)
         labels = ("R1", "E", "E", "P")
         group, result = self.round_at(oracle, 1, labels=labels)
-        assert (len(outcomes), len(seatings)) == (1, 1)
-        assert first.isdisjoint(seatings)
+        assert len(group_table) == 1
+        assert first.isdisjoint(group_table)
         self.assert_equals_reference(group, result, 1, labels=labels)
 
-        # The refilled table serves the new multiset.
+        # The refilled table serves the new seating.
         monkeypatch.setattr(engine, "collect_orders", no_pipeline)
         monkeypatch.setattr(engine, "settle_bill", no_arithmetic)
         group, result = self.round_at(oracle, 2, labels=labels)
         monkeypatch.setattr(engine, "collect_orders", collect_orders)
         monkeypatch.setattr(engine, "settle_bill", settle_bill)
         self.assert_equals_reference(group, result, 2, labels=labels)
-        assert (len(outcomes), len(seatings)) == (1, 1)
+        assert len(group_table) == 1

@@ -292,6 +292,23 @@ class TestConfigSerialization:
         with pytest.raises(ConfigFormatError, match=re.escape(where)):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("path, where", [
+        (("agents", 0, "name"), "config.agents[0].name"),
+        (("agents", 1, "agent_id"), "config.agents[1].agent_id"),
+        (("groups", 0, "members", 2), "config.groups[0].members[2]"),
+        (("backend", "kind"), "config.backend.kind"),
+    ])
+    def test_string_that_cannot_be_utf8_names_its_path(self, path, where):
+        # json.loads('"\\ud800"') is a lone surrogate: valid JSON, but no
+        # event log could hold it.
+        data = config_to_dict(paper_preset(1, "6:1", seed=1))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = json.loads('"x\\ud800"')
+        with pytest.raises(ConfigFormatError, match=re.escape(where) + ".*UTF-8"):
+            config_from_dict(data)
+
     def test_missing_required_key_names_its_path(self):
         data = config_to_dict(paper_preset(1, "6:1", seed=1))
         del data["agents"][2]["strategy"]

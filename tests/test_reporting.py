@@ -278,6 +278,18 @@ class TestEventLog:
             write_event_log(preset_run, target)
         assert not target.exists()
 
+    @pytest.mark.parametrize("existing", [None, b"old bytes"])
+    def test_text_that_cannot_be_utf8_writes_nothing(self, tmp_path, existing):
+        target = tmp_path / "trend.svg"
+        if existing is not None:
+            target.write_bytes(existing)
+        with pytest.raises(UnicodeEncodeError):
+            reporting.write_trend_svg([{s: 0.25 for s in Strategy}], "bad\udcff", target)
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == existing
+
     @pytest.mark.parametrize("writer", ["events.jsonl", "census.csv", "trend.svg"])
     def test_failed_disk_write_removes_partial_file(self, preset_run, tmp_path, monkeypatch, writer):
         """A write that fails after some bytes reached the file leaves no file."""
@@ -295,12 +307,11 @@ class TestEventLog:
 
         monkeypatch.setattr(reporting, "open", full_disk, raising=False)
         target = tmp_path / writer
+        series = census_series(preset_run.initial_census, preset_run.records)
         write = {
             "events.jsonl": lambda: write_event_log(preset_run, target),
-            "census.csv": lambda: write_census_csv(preset_run.initial_census, preset_run.records, target),
-            "trend.svg": lambda: reporting.write_trend_svg(
-                preset_run.initial_census, preset_run.records, "t", target
-            ),
+            "census.csv": lambda: write_census_csv(series, target),
+            "trend.svg": lambda: reporting.write_trend_svg(series, "t", target),
         }[writer]
         with pytest.raises(OSError, match="disk full"):
             write()
@@ -426,7 +437,7 @@ class TestTemplatedLines:
 class TestCensusCsv:
     def test_preset_one_initial_row(self, preset_run, tmp_path):
         path = write_census_csv(
-            preset_run.initial_census, preset_run.records, tmp_path / "census.csv"
+            census_series(preset_run.initial_census, preset_run.records), tmp_path / "census.csv"
         )
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,M,P,E,R1"
@@ -435,17 +446,13 @@ class TestCensusCsv:
 
     def test_preset_two_initial_row(self, oracle, tmp_path):
         result = run_simulation(oracle_preset(combination=2, punishment="3:1"), oracle)
-        path = write_census_csv(
-            result.initial_census, result.records, tmp_path / "census.csv"
-        )
+        path = write_census_csv(census_series(result.initial_census, result.records), tmp_path / "census.csv")
         assert path.read_text().splitlines()[1] == "0,0.250000,0.250000,0.125000,0.375000"
 
     def test_homogeneous_population_rows(self, oracle, tmp_path):
         config = make_config([["M", "M", "M", "M"], ["M", "M", "M", "M"]])
         result = run_simulation(config, oracle)
-        path = write_census_csv(
-            result.initial_census, result.records, tmp_path / "census.csv"
-        )
+        path = write_census_csv(census_series(result.initial_census, result.records), tmp_path / "census.csv")
         for line in path.read_text().splitlines()[1:]:
             assert line.endswith(",1.000000,0.000000,0.000000,0.000000")
 

@@ -358,11 +358,11 @@ class TestGroupMemoParity:
     def test_memoised_oracle_matches_impure_oracle(self, configs, seeds, jobs):
         # The configs' runs take turns, seed by seed, through one table.
         runs = [replace(config, seed=seed) for seed in seeds for config in configs]
-        with fresh_group_table() as (outcomes, seatings):
+        with fresh_group_table() as seatings:
             memoised = run_all(runs, RuleOracle(), jobs)
         assert_same_runs(memoised, run_all(runs, ImpureOracle(), jobs))
         # A failed round stores nothing.
-        assert not any("backend_decided" in text for (_, text), _ in [*outcomes, *seatings])
+        assert not any("backend_decided" in text for (_, text), _ in seatings)
 
     @pytest.mark.parametrize("first, second", [
         # Costs of 0.0 and -0.0 compare equal but log apart.
@@ -390,16 +390,15 @@ class TestGroupMemoParity:
         assert [r.final_agents for r in memoised] == [r.final_agents for r in reference]
 
     def test_bounded_table_under_thread_contention(self, group_table, monkeypatch):
-        outcomes, seatings = group_table
         limit = 8
         monkeypatch.setattr(engine, "GROUP_MEMO_LIMIT", limit)
         sizes = []
         store = engine._store
 
-        def recording_store(part, key, value):
-            store(part, key, value)
+        def recording_store(key, value):
+            store(key, value)
             with engine._table_lock:
-                sizes.append(len(outcomes) + len(seatings))
+                sizes.append(len(group_table))
 
         monkeypatch.setattr(engine, "_store", recording_store)
         config = oracle_preset(2, "3:1")
