@@ -152,13 +152,12 @@ def make_backend(settings: BackendConfig, trace: bool):
     return LlmBackend(settings=settings, trace=trace)
 
 
-def write_census_files(
-    run_dir: Path, run_id: str, initial, records, title: str | None = None
-) -> None:
-    """A run directory's ``census.csv`` and ``trend.svg``, for every command."""
-    series = census_series(initial, records)
+def write_census_files(run_dir: Path, run, title: str | None = None) -> None:
+    """A run's ``census.csv`` and ``trend.svg``, for every command; ``run`` is
+    a ``RunResult`` or a ``LoadedRun``."""
+    series = census_series(run.initial_census, run.records)
     write_census_csv(series, run_dir / "census.csv")
-    write_trend_svg(series, title or f"Strategy shares (run {run_id})", run_dir / "trend.svg")
+    write_trend_svg(series, title or f"Strategy shares (run {run.handle.run_id})", run_dir / "trend.svg")
 
 
 def write_run_outputs(result: RunResult, run_dir: Path) -> Path:
@@ -167,7 +166,7 @@ def write_run_outputs(result: RunResult, run_dir: Path) -> Path:
     # Through the module, so that a wrapper the benchmark's tracer puts
     # there sees the call.
     log_path = reporting.write_event_log(result, run_dir / "events.jsonl")
-    write_census_files(run_dir, result.handle.run_id, result.initial_census, result.records)
+    write_census_files(run_dir, result)
     return log_path
 
 
@@ -260,7 +259,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = run_replications(
+    rows = run_replications(
         config, backend, seeds, jobs=args.jobs, early_stop=args.early_stop,
         # Each row names its log relative to the batch, so a moved batch still
         # finds its logs and equal batches are equal byte for byte.
@@ -268,13 +267,15 @@ def cmd_replicate(args: argparse.Namespace) -> int:
             result, out_dir / result.handle.run_id
         ).relative_to(out_dir).as_posix(),
     )
-    write_batch_summary_csv(summary.rows, out_dir / "batch_summary.csv")
-    stats = convergence_stats(summary.rows)
-    (out_dir / "aggregate_stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+    write_batch_summary_csv(rows, out_dir / "batch_summary.csv")
+    stats = convergence_stats(rows)
+    text = json.dumps(stats, indent=2)
+    reporting.write_text(out_dir / "aggregate_stats.json", text + "\n")
 
-    print(f"{summary.completed} runs completed, {summary.aborted} aborted -> {out_dir}")
-    print(json.dumps(stats, indent=2))
-    if summary.completed == 0:
+    completed = stats["runs"] - stats["aborted_runs"]
+    print(f"{completed} runs completed, {stats['aborted_runs']} aborted -> {out_dir}")
+    print(text)
+    if completed == 0:
         return EXIT_BACKEND
     return EXIT_OK
 
@@ -314,11 +315,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    initial = loaded.initial_census
-    write_census_files(out_dir, loaded.header["run_id"], initial, loaded.records, args.title)
-    final = loaded.records[-1].strategy_census if loaded.records else initial
-    print_census(final)
-    print(f"rebuilt reports for run {loaded.header['run_id']} -> {out_dir}")
+    write_census_files(out_dir, loaded, args.title)
+    print_census(loaded.final_census)
+    print(f"rebuilt reports for run {loaded.handle.run_id} -> {out_dir}")
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 from dataclasses import dataclass
 from math import isfinite
@@ -27,8 +28,9 @@ from .model import (
     PunishmentLevel,
     Strategy,
     STRATEGY_ORDER,
+    seed_in_range,
 )
-from .runner import BatchRow, RunResult, RunStatus, SeedlessCache
+from .runner import BatchRow, RunHandle, RunResult, RunStatus, SeedlessCache, Trajectory, homogeneous
 
 SCHEMA_VERSION = 1
 
@@ -167,7 +169,7 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
         yield f'{{"kind":"census","iteration":{iteration},"counts":{_counts_json(record.strategy_census)}}}'
 
 
-def _write_text(path: str | Path, text: str) -> Path:
+def write_text(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` as UTF-8 in one call, with no newline
     translation. Text that does not encode leaves no file; a failed write
     removes the partial file."""
@@ -185,17 +187,14 @@ def _write_text(path: str | Path, text: str) -> Path:
 
 def write_event_log(result: RunResult, path: str | Path) -> Path:
     """Write the run's event log in one call; a failed write removes the partial file."""
-    return _write_text(path, "\n".join(event_log_lines(result)) + "\n")
+    return write_text(path, "\n".join(event_log_lines(result)) + "\n")
 
 
 @dataclass
-class LoadedRun:
-    header: dict
+class LoadedRun(Trajectory):
+    handle: RunHandle
+    initial_census: dict[Strategy, int]
     records: list[IterationRecord]
-
-    @property
-    def initial_census(self) -> dict[Strategy, int]:
-        return {Strategy(k): v for k, v in self.header["initial_census"].items()}
 
 
 class EventLogError(ValueError):
@@ -215,17 +214,20 @@ def _problem(exc: Exception) -> str:
     return str(exc) or type(exc).__name__
 
 
-def _check_header(header: dict) -> int:
-    """Check the header line; returns the run's agent count."""
-    if header["kind"] != "header":
+def _header(item: dict) -> tuple[RunHandle, dict[Strategy, int]]:
+    """The run's handle and initial census, from a header line whose values
+    have the types the writer gives them."""
+    if item["kind"] != "header":
         raise ValueError("expected the header line first")
-    if header["schema"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported event log schema {header['schema']!r}")
-    if "run_id" not in header:
-        raise KeyError("run_id")
-    population = sum(_census(header["initial_census"]).values())
-    _member(_STATUSES, RunStatus, header["status"])
-    return population
+    if item["schema"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported event log schema {item['schema']!r}")
+    run_id, seed = _string(item, "run_id"), item["seed"]
+    if type(seed) is not int or not seed_in_range(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+    status, executed = _member(_STATUSES, RunStatus, item["status"]), item["iterations_executed"]
+    if type(executed) is not int or executed < 0:
+        raise ValueError(f"iterations_executed must be a non-negative integer, not {executed!r}")
+    return RunHandle(run_id, seed, status, executed), _census(item["initial_census"])
 
 
 def _census(counts: dict) -> dict[Strategy, int]:
@@ -321,7 +323,10 @@ def load_event_log(path: str | Path) -> LoadedRun:
     utilities line is split by each group's orders. Raises
     :class:`EventLogError` for a log it cannot read back: an empty file, a
     line that is not UTF-8 JSON, a wrong header or schema, a header
-    ``status`` that is not a :class:`RunStatus` value, a missing key, a
+    ``run_id`` that is not a string, ``seed`` that is not an integer in the
+    unsigned 64-bit range, ``iterations_executed`` that is not a
+    non-negative integer or ``status`` that is not a :class:`RunStatus`
+    value, a missing key, a
     bad value (such as a census that is not counts of agents or whose total
     differs from the header's initial census, an iteration that is not an
     ``int``, a ``group`` or ``location`` that is not a string, a bill,
@@ -338,9 +343,11 @@ def load_event_log(path: str | Path) -> LoadedRun:
     seat order, an imitation line whose focal agent did not order or already
     imitated or whose role model is not another agent that ordered, an
     agent that ordered but has no imitation line, an iteration cut off
-    before its census line, or iterations other than exactly 1 to the
-    header's ``iterations_executed``. ``OSError`` still means the file could
-    not be read at all.
+    before its census line, iterations other than exactly 1 to the
+    header's ``iterations_executed``, or a ``status`` other than
+    ``aborted`` that disagrees with the last census (``converged`` exactly
+    when it is homogeneous). ``OSError`` still means the file could not be
+    read at all.
     """
     data = Path(path).read_bytes()
     try:
@@ -355,11 +362,11 @@ def load_event_log(path: str | Path) -> LoadedRun:
         raise EventLogError(path, 1, "empty file, expected a header line")
     malformed = (KeyError, TypeError, AttributeError, ValueError)
     try:
-        header = _decode(lines[0])
-        population = _check_header(header)
+        handle, initial_census = _header(_decode(lines[0]))
     except malformed as exc:
         raise EventLogError(path, 1, _problem(exc)) from exc
 
+    population = sum(initial_census.values())
     records: list[IterationRecord] = []
     current = None  # the iteration being read, until its census line
     closed = None  # the last iteration a census line closed
@@ -479,12 +486,18 @@ def load_event_log(path: str | Path) -> LoadedRun:
             raise EventLogError(path, number, _problem(exc)) from exc
     if current is not None:
         raise EventLogError(path, len(lines), f"iteration {current} has no census line")
-    executed = header.get("iterations_executed")
-    if type(executed) is not int or [r.iteration for r in records] != list(range(1, executed + 1)):
+    executed = handle.iterations_executed
+    if [r.iteration for r in records] != list(range(1, executed + 1)):
         raise EventLogError(
-            path, len(lines), f"iterations are not 1..iterations_executed ({executed!r} in the header)"
+            path, len(lines), f"iterations are not 1..iterations_executed ({executed} in the header)"
         )
-    return LoadedRun(header=header, records=records)
+    loaded = LoadedRun(handle, initial_census, records)
+    ended = RunStatus.CONVERGED if homogeneous(loaded.final_census) else RunStatus.COMPLETED
+    if handle.status not in (RunStatus.ABORTED, ended):
+        raise EventLogError(
+            path, len(lines), f"status is {handle.status.value}, but the last census says {ended.value}"
+        )
+    return loaded
 
 
 def census_series(
@@ -508,7 +521,7 @@ def write_census_csv(series: Sequence[dict[Strategy, float]], path: str | Path) 
     lines = ["iteration," + ",".join(_CENSUS_LABELS) + "\r\n"]
     for iteration, row in enumerate(series):
         lines.append(f"{iteration},{row[m]:.6f},{row[p]:.6f},{row[e]:.6f},{row[r1]:.6f}\r\n")
-    return _write_text(path, "".join(lines))
+    return write_text(path, "".join(lines))
 
 
 # SVG geometry. The affine mapping from data to pixels is fixed and part of
@@ -622,7 +635,7 @@ def render_trend_svg(series: Sequence[dict[Strategy, float]], title: str) -> str
 
 
 def write_trend_svg(series: Sequence[dict[Strategy, float]], title: str, path: str | Path) -> Path:
-    return _write_text(path, render_trend_svg(series, title))
+    return write_text(path, render_trend_svg(series, title))
 
 
 def convergence_stats(rows: Sequence[BatchRow]) -> dict:
@@ -633,7 +646,7 @@ def convergence_stats(rows: Sequence[BatchRow]) -> dict:
     """
     if not rows:
         raise ValueError("need at least one run to aggregate")
-    scored = [r for r in rows if r.status is not RunStatus.ABORTED]
+    scored = [r for r in rows if r.handle.status is not RunStatus.ABORTED]
     runs = len(scored)
     per_strategy = {}
     for strategy in STRATEGY_ORDER:
@@ -666,28 +679,24 @@ def convergence_stats(rows: Sequence[BatchRow]) -> dict:
 
 
 def write_batch_summary_csv(rows: Sequence[BatchRow], path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+    """One CSV row per run, written in one call: rows end in CRLF and fields
+    are quoted as ``csv.writer`` quotes them."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(
+        ["seed", "run_id", "status", "iterations_executed", "convergence_iteration"]
+        + [f"final_{s.value}" for s in STRATEGY_ORDER]
+        + ["log_path"]
+    )
+    for row in rows:
+        handle, total = row.handle, sum(row.final_census.values())
         writer.writerow(
-            ["seed", "run_id", "status", "iterations_executed", "convergence_iteration"]
-            + [f"final_{s.value}" for s in STRATEGY_ORDER]
-            + ["log_path"]
+            [handle.seed, handle.run_id, handle.status.value, handle.iterations_executed,
+             "" if row.convergence_iteration is None else row.convergence_iteration]
+            + [f"{row.final_census.get(s, 0) / total:.6f}" for s in STRATEGY_ORDER]
+            + [row.log_path or ""]
         )
-        for row in rows:
-            total = sum(row.final_census.values())
-            writer.writerow(
-                [
-                    row.seed,
-                    row.run_id,
-                    row.status.value,
-                    row.iterations_executed,
-                    row.convergence_iteration if row.convergence_iteration is not None else "",
-                ]
-                + [f"{row.final_census.get(s, 0) / total:.6f}" for s in STRATEGY_ORDER]
-                + [row.log_path or ""]
-            )
-    return path
+    return write_text(path, text.getvalue())
 
 
 def _escape(text: str) -> str:

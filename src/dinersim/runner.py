@@ -38,28 +38,45 @@ log = logging.getLogger(__name__)
 
 
 class RunStatus(str, Enum):
-    RUNNING = "running"
     CONVERGED = "converged"
     COMPLETED = "completed"
     ABORTED = "aborted"
 
 
-@dataclass
+def homogeneous(census: dict[Strategy, int]) -> bool:
+    """Whether every agent counted in ``census`` has one strategy."""
+    return max(census.values()) == sum(census.values())
+
+
+@dataclass(frozen=True)
 class RunHandle:
+    """Who a run was and how it ended, built once when the run ends."""
+
     run_id: str
     seed: int
     status: RunStatus
     iterations_executed: int
 
 
+class Trajectory:
+    """A run's outcome, worked out from its ``initial_census`` and ``records``."""
+
+    @property
+    def final_census(self) -> dict[Strategy, int]:
+        """The last record's census, or the initial census when no iteration ran."""
+        return self.records[-1].strategy_census if self.records else self.initial_census
+
+    @property
+    def convergence_iteration(self) -> int | None:
+        """The first iteration whose census is homogeneous."""
+        return next((r.iteration for r in self.records if homogeneous(r.strategy_census)), None)
+
+
 @dataclass
-class RunResult:
+class RunResult(Trajectory):
     handle: RunHandle
     config: SimulationConfig
     records: list[IterationRecord]
-    final_census: dict[Strategy, int]
-    final_agents: list[AgentState]
-    convergence_iteration: int | None
     error: str | None = None
 
     @property
@@ -144,12 +161,9 @@ def run_simulation(
     by_id = {s.agent_id: s for s in states}
     groups = [(g.group_id, [by_id[m] for m in g.members]) for g in config.groups]
 
-    handle = RunHandle(
-        run_id=run_id_for(config), seed=config.seed, status=RunStatus.RUNNING,
-        iterations_executed=0,
-    )
+    run_id = run_id_for(config)
     records: list[IterationRecord] = []
-    convergence_iteration: int | None = None
+    status = error = None
 
     for iteration in range(1, config.iterations + 1):
         locations = assign_locations(len(groups), config.locations, iteration)
@@ -168,17 +182,9 @@ def run_simulation(
                 for (group_id, members), location in zip(groups, locations)
             ]
         except BackendError as exc:
-            log.error("run %s aborted at iteration %d: %s", handle.run_id, iteration, exc)
-            handle.status = RunStatus.ABORTED
-            return RunResult(
-                handle=handle,
-                config=config,
-                records=records,
-                final_census=census_of(s.strategy for s in states),
-                final_agents=states,
-                convergence_iteration=convergence_iteration,
-                error=str(exc),
-            )
+            log.error("run %s aborted at iteration %d: %s", run_id, iteration, exc)
+            status, error = RunStatus.ABORTED, str(exc)
+            break
 
         outcomes = imitation_step(states, config.imitation, imitation_rng)
         census = census_of(s.strategy for s in states)
@@ -190,48 +196,23 @@ def run_simulation(
                 strategy_census=census,
             )
         )
-        handle.iterations_executed = iteration
-        if convergence_iteration is None and max(census.values()) == len(states):
-            convergence_iteration = iteration
-            if early_stop:
-                break
+        if early_stop and homogeneous(census):
+            break
 
-    final_census = census_of(s.strategy for s in states)
-    homogeneous = bool(states) and max(final_census.values()) == len(states)
-    handle.status = RunStatus.CONVERGED if homogeneous else RunStatus.COMPLETED
-    return RunResult(
-        handle=handle,
-        config=config,
-        records=records,
-        final_census=final_census,
-        final_agents=states,
-        convergence_iteration=convergence_iteration,
-    )
+    if status is None:
+        converged = homogeneous(census_of(s.strategy for s in states))
+        status = RunStatus.CONVERGED if converged else RunStatus.COMPLETED
+    handle = RunHandle(run_id, config.seed, status, len(records))
+    return RunResult(handle, config, records, error)
 
 
 @dataclass
 class BatchRow:
-    seed: int
-    run_id: str
-    status: RunStatus
-    iterations_executed: int
+    handle: RunHandle
     convergence_iteration: int | None
     final_census: dict[Strategy, int]
     log_path: str | None = None
     error: str | None = None
-
-
-@dataclass
-class BatchSummary:
-    rows: list[BatchRow]
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for r in self.rows if r.status is not RunStatus.ABORTED)
-
-    @property
-    def aborted(self) -> int:
-        return sum(1 for r in self.rows if r.status is RunStatus.ABORTED)
 
 
 # Ceiling on replication threads. Threads overlap only waiting, such as LLM
@@ -270,11 +251,11 @@ def run_replications(
     jobs: int = 1,
     early_stop: bool = False,
     on_run: Callable[[RunResult], str | None] | None = None,
-) -> BatchSummary:
-    """Run one independent simulation per seed.
+) -> list[BatchRow]:
+    """Run one independent simulation per seed; one row per seed.
 
     Rows come in seed-list order no matter how runs are scheduled, so
-    identical inputs yield identical summaries. A duplicated seed is allowed
+    identical inputs yield identical rows. A duplicated seed is allowed
     but warned about; an aborted run is reported in its row rather than
     failing the batch. Each finished run goes to ``on_run`` in the calling
     thread, in seed-list order, and what it returns becomes the row's
@@ -291,18 +272,13 @@ def run_replications(
     def one(seed: int) -> RunResult:
         return run_simulation(replace(config, seed=seed), backend, early_stop=early_stop)
 
-    rows = []
-    for result in _ordered_runs(one, seeds, min(jobs, len(seeds), MAX_JOBS)):
-        rows.append(
-            BatchRow(
-                seed=result.handle.seed,
-                run_id=result.handle.run_id,
-                status=result.handle.status,
-                iterations_executed=result.handle.iterations_executed,
-                convergence_iteration=result.convergence_iteration,
-                final_census=result.final_census,
-                log_path=on_run(result) if on_run else None,
-                error=result.error,
-            )
+    return [
+        BatchRow(
+            result.handle,
+            result.convergence_iteration,
+            result.final_census,
+            log_path=on_run(result) if on_run else None,
+            error=result.error,
         )
-    return BatchSummary(rows=rows)
+        for result in _ordered_runs(one, seeds, min(jobs, len(seeds), MAX_JOBS))
+    ]

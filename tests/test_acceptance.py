@@ -153,16 +153,7 @@ def mean_punishing_share(combination: int, setting: str) -> float:
     rows = []
     for seed in range(200):
         result = pooled_run(oracle_preset(combination, setting, seed))
-        rows.append(
-            BatchRow(
-                seed=seed,
-                run_id=result.handle.run_id,
-                status=result.handle.status,
-                iterations_executed=result.handle.iterations_executed,
-                convergence_iteration=result.convergence_iteration,
-                final_census=result.final_census,
-            )
-        )
+        rows.append(BatchRow(result.handle, result.convergence_iteration, result.final_census))
     stats = convergence_stats(rows)
     return (
         stats["per_strategy"]["M"]["mean_final_share"]

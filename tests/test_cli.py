@@ -386,15 +386,16 @@ class TestReport:
         assert "--title: not UTF-8 text" in capsys.readouterr().err
         assert not rebuilt.exists()
 
-    HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "status": "completed",
-                         "initial_census": {"M": 2}})
+    # The header of a run of two moralists that ran one iteration.
+    HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "seed": 0, "status": "converged",
+                         "iterations_executed": 1, "initial_census": {"M": 2}})
     SCOLD = (b'{"kind": "punishment", "iteration": 1, "punisher": "a1", "target": "%s", '
              b'"level": "defection", "cost_to_punisher": 1.0, "cost_to_target": 6.0}\n')
 
     UTILITIES = b'{"kind": "utilities", "iteration": 1, "values": {"a1": 0.5}}\n'
     CENSUS = b'{"kind": "census", "iteration": 1, "counts": {"M": 2, "P": 0, "E": 0, "R1": 0}}\n'
     # A header saying three iterations ran, and the lines of iterations 1-3.
-    RAN_3 = HEADER.replace('"run_id": "r"', '"run_id": "r", "iterations_executed": 3').encode() + b"\n"
+    RAN_3 = HEADER.replace('"iterations_executed": 1', '"iterations_executed": 3').encode() + b"\n"
     # Two agents, each imitating the other: the smallest iteration that can be.
     ORDERS_2 = (orders_line("g1", "a1", "a2")
                 + b'{"kind": "utilities", "iteration": 1, "values": {"a1": 0.5, "a2": 0.5}}\n')
@@ -495,7 +496,7 @@ class TestReport:
          "line 2", "group must be a string, not ['g1']"),
         (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"uniform_draw": 0.5', b'"uniform_draw": 1.0', 1),
          "line 4", "uniform_draw must be in [0, 1), not 1.0"),
-        (HEADER.replace('"status": "completed"', '"status": "banana"').encode(),
+        (HEADER.replace('"status": "converged"', '"status": "banana"').encode(),
          "line 1", "'banana' is not a valid RunStatus"),
         (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2", "a3", "a4").replace(
             b'"meal_payoffs": {"a1"', b'"meal_payoffs": {"zz"'),
@@ -505,6 +506,17 @@ class TestReport:
         (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2").replace(
             b'"meal_payoffs": {"a1": 0.5, "a2": 0.5}', b'"meal_payoffs": {"a2": 0.5, "a1": 0.5}'),
          "line 2", "meal_payoffs keys are not in the seat order of the choices of group 'g1' in iteration 1"),
+        (HEADER.replace('"run_id": "r"', '"run_id": 5').encode(), "line 1", "run_id must be a string, not 5"),
+        (HEADER.replace('"seed": 0', '"seed": 18446744073709551616').encode(),
+         "line 1", "seed must be an integer in [0, 2**64), not 18446744073709551616"),
+        (HEADER.replace('"iterations_executed": 1', '"iterations_executed": -1').encode(),
+         "line 1", "iterations_executed must be a non-negative integer, not -1"),
+        (HEADER.replace('"status": "converged"', '"status": "running"').encode(),
+         "line 1", "'running' is not a valid RunStatus"),
+        (HEADER.replace('"status": "converged"', '"status": "completed"').encode() + b"\n" + ITERATION_1,
+         "line 6", "status is completed, but the last census says converged"),
+        (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"M": 2, "P": 0', b'"M": 1, "P": 1'),
+         "line 6", "status is converged, but the last census says completed"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
@@ -517,7 +529,9 @@ class TestReport:
             "draw-out-of-range", "probability-null", "probability-out-of-range", "adopted-flipped",
             "payoff-diff-not-number", "utility-not-number", "meal-payoff-not-number",
             "bill-total-not-number", "location-not-string", "group-not-string", "draw-equals-one", "status-unknown",
-            "meal-payoff-key-renamed", "meal-payoff-key-dropped", "meal-payoffs-not-in-seat-order"])
+            "meal-payoff-key-renamed", "meal-payoff-key-dropped", "meal-payoffs-not-in-seat-order",
+            "run-id-not-string", "seed-out-of-range", "iterations-executed-negative", "status-running",
+            "completed-but-homogeneous", "converged-but-mixed"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)
@@ -527,6 +541,11 @@ class TestReport:
         assert err.count("\n") == 1
         assert str(log) in err and where in err and problem in err
         assert not (tmp_path / "rebuilt").exists()
+
+    def test_header_fixture_is_a_valid_log(self, tmp_path):
+        log = tmp_path / "events.jsonl"
+        log.write_bytes(self.HEADER.encode() + b"\n" + self.ITERATION_1)
+        assert main(["report", "--log", str(log), "--out", str(tmp_path / "rebuilt")]) == 0
 
     def test_missing_log_is_io_error(self, tmp_path):
         code = main(["report", "--log", str(tmp_path / "absent.jsonl"),

@@ -5,12 +5,15 @@ import json
 import math
 from dataclasses import replace
 from itertools import cycle
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dinersim.reporting as reporting
+from dinersim.backends.base import DecisionBackend, TransportError
+from dinersim.backends.oracle import oracle_decide
 from dinersim.config_io import config_to_dict
 from dinersim.model import (
     STRATEGY_ORDER,
@@ -75,7 +78,7 @@ ROUND_TRIP_CONFIGS = {
 def header_line(config) -> str:
     """The header line of a run of ``config`` that ran no iteration."""
     handle = RunHandle(run_id_for(config), config.seed, RunStatus.COMPLETED, 0)
-    return next(event_log_lines(RunResult(handle, config, [], {}, [], None)))
+    return next(event_log_lines(RunResult(handle, config, [])))
 
 
 class TestHeaderConfig:
@@ -118,7 +121,7 @@ class TestEventLog:
         loaded = load_event_log(path)
         assert loaded.records == result.records
         assert loaded.initial_census == result.initial_census
-        assert loaded.header["run_id"] == result.handle.run_id
+        assert loaded.handle == result.handle
         rewritten = event_log_lines(replace(result, records=loaded.records))
         assert "".join(line + "\n" for line in rewritten) == path.read_text()
 
@@ -317,6 +320,68 @@ class TestEventLog:
             write()
         assert not target.exists()
 
+    @pytest.mark.parametrize("name", ["batch_summary.csv", "aggregate_stats.json"])
+    def test_failed_batch_file_write_removes_partial_file(self, tmp_path, monkeypatch, capsys, name):
+        """``replicate`` writes each batch file in one call: a write that fails
+        after some bytes reached the file exits 1 and leaves no file."""
+        from dinersim.cli import main
+
+        real_open = open
+
+        def full_disk(path, mode):
+            handle = real_open(path, mode)
+            if Path(path).name == name:
+                def write(data):
+                    handle.raw.write(data[:10])
+                    raise OSError("disk full")
+
+                handle.write = write
+            return handle
+
+        monkeypatch.setattr(reporting, "open", full_disk, raising=False)
+        out = tmp_path / "batch"
+        code = main(["replicate", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
+                     "--seeds", "2", "--out", str(out)])
+        assert code == 1
+        assert "disk full" in capsys.readouterr().err
+        assert not (out / name).exists()
+
+
+class FailsInIteration3(DecisionBackend):
+    """The oracle's rule, until a transport failure in iteration 3."""
+
+    name = "fails-in-iteration-3"
+
+    def decide(self, ctx):
+        if ctx.iteration == 3:
+            raise TransportError("injected fault")
+        return oracle_decide(ctx)
+
+
+class TestAbortedAndStoppedLogs:
+    """Logs of runs that end before their last iteration load back to the
+    run, and ``report`` rebuilds their census files byte for byte."""
+
+    @pytest.mark.parametrize("case", ["aborted", "early-stop"])
+    def test_log_reloads_to_the_run(self, oracle, tmp_path, case):
+        from dinersim.cli import main, write_run_outputs
+
+        if case == "aborted":
+            result = run_simulation(oracle_preset(seed=3), FailsInIteration3())
+            assert (result.handle.status, len(result.records)) == (RunStatus.ABORTED, 2)
+        else:
+            result = run_simulation(oracle_preset(1, "3:1", seed=3), oracle, early_stop=True)
+            assert (result.handle.status, len(result.records)) == (RunStatus.CONVERGED, 3)
+        run_dir = tmp_path / "run"
+        loaded = load_event_log(write_run_outputs(result, run_dir))
+        assert loaded.handle == result.handle
+        assert loaded.records == result.records
+        assert loaded.final_census == result.final_census
+        rebuilt = tmp_path / "rebuilt"
+        assert main(["report", "--log", str(run_dir / "events.jsonl"), "--out", str(rebuilt)]) == 0
+        for name in ("census.csv", "trend.svg"):
+            assert (rebuilt / name).read_bytes() == (run_dir / name).read_bytes(), name
+
 
 def reference_lines(result) -> list[str]:
     """The event log of ``result`` with each line's fields as a dict, through
@@ -415,7 +480,7 @@ class TestTemplatedLines:
     @settings(max_examples=300, deadline=None)
     def test_every_line_equals_json_dumps(self, record, run_id, seed, status, executed):
         config = replace(oracle_preset(), seed=seed)
-        result = RunResult(RunHandle(run_id, seed, status, executed), config, [record], {}, [], None)
+        result = RunResult(RunHandle(run_id, seed, status, executed), config, [record])
         assert list(event_log_lines(result)) == reference_lines(result)
 
     @given(number=st.sampled_from([int, float]), punishment=st.sampled_from([(3, 1), (6, 1), (6.0, 1.5)]),
@@ -509,14 +574,13 @@ class TestTrendSvg:
 
 
 def census_file_runs(oracle, case: str):
-    """(run id, initial census, records, title) of each run of a byte-pin case."""
+    """(run, title) of each run of a byte-pin case."""
     if case.startswith("paper"):
-        runs = [
-            run_simulation(oracle_preset(c, p, seed), oracle, early_stop=case == "paper-early-stop")
+        return [
+            (run_simulation(oracle_preset(c, p, seed), oracle, early_stop=case == "paper-early-stop"), None)
             for c, p in ((1, "3:1"), (1, "6:1"), (2, "3:1"), (2, "6:1"))
             for seed in range(8)
         ]
-        return [(r.handle.run_id, r.initial_census, r.records, None) for r in runs]
     config = {
         "T0": replace(oracle_preset(seed=3), iterations=0),
         "T1": replace(oracle_preset(seed=3), iterations=1),
@@ -524,9 +588,8 @@ def census_file_runs(oracle, case: str):
         "T25": replace(ROUND_TRIP_CONFIGS[3], iterations=25),
         "title": oracle_preset(seed=3),
     }[case]
-    result = run_simulation(config, oracle)
     title = 'R&D <"shares"> & more' if case == "title" else None
-    return [(result.handle.run_id, result.initial_census, result.records, title)]
+    return [(run_simulation(config, oracle), title)]
 
 
 class TestCensusFileBytes:
@@ -547,8 +610,8 @@ class TestCensusFileBytes:
         from dinersim.cli import write_census_files
 
         h = hashlib.sha256()
-        for run_id, initial, records, title in census_file_runs(oracle, case):
-            write_census_files(tmp_path, run_id, initial, records, title)
+        for run, title in census_file_runs(oracle, case):
+            write_census_files(tmp_path, run, title)
             h.update((tmp_path / "census.csv").read_bytes())
             h.update((tmp_path / "trend.svg").read_bytes())
         assert h.hexdigest() == self.DIGESTS[case]
@@ -556,14 +619,8 @@ class TestCensusFileBytes:
 
 class TestConvergenceStats:
     def row(self, census, convergence=None, seed=0):
-        return BatchRow(
-            seed=seed,
-            run_id=f"r{seed}",
-            status=RunStatus.CONVERGED if convergence else RunStatus.COMPLETED,
-            iterations_executed=10,
-            convergence_iteration=convergence,
-            final_census=census,
-        )
+        status = RunStatus.CONVERGED if convergence else RunStatus.COMPLETED
+        return BatchRow(RunHandle(f"r{seed}", seed, status, 10), convergence, census)
 
     def homogeneous(self, strategy):
         census = {s: 0 for s in Strategy}
@@ -600,8 +657,8 @@ class TestConvergenceStats:
 
 class TestBatchSummaryCsv:
     def test_summary_rows_and_fractions(self, oracle, tmp_path):
-        summary = run_replications(oracle_preset(), oracle, [0, 1, 2])
-        path = write_batch_summary_csv(summary.rows, tmp_path / "batch.csv")
+        rows = run_replications(oracle_preset(), oracle, [0, 1, 2])
+        path = write_batch_summary_csv(rows, tmp_path / "batch.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "seed,run_id,status,iterations_executed,convergence_iteration,"
@@ -613,10 +670,10 @@ class TestBatchSummaryCsv:
             assert sum(fractions) == pytest.approx(1.0, abs=1e-9)
 
     def test_on_run_return_value_is_the_log_path(self, oracle, tmp_path):
-        summary = run_replications(
+        rows = run_replications(
             oracle_preset(), oracle, [0, 1], on_run=lambda result: f"{result.handle.run_id}/events.jsonl"
         )
-        assert [row.log_path for row in summary.rows] == [f"{row.run_id}/events.jsonl" for row in summary.rows]
-        lines = write_batch_summary_csv(summary.rows, tmp_path / "batch.csv").read_text().splitlines()
-        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [row.log_path for row in summary.rows]
-        assert all(row.log_path is None for row in run_replications(oracle_preset(), oracle, [0]).rows)
+        assert [row.log_path for row in rows] == [f"{row.handle.run_id}/events.jsonl" for row in rows]
+        lines = write_batch_summary_csv(rows, tmp_path / "batch.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [row.log_path for row in rows]
+        assert all(row.log_path is None for row in run_replications(oracle_preset(), oracle, [0]))
