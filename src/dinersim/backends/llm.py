@@ -259,7 +259,22 @@ class LlmBackend(DecisionBackend):
         # The HTTP stack loads with the first LLM backend, not with the
         # package: oracle-only commands start without it, and an LLM run
         # pays for it here in set-up rather than in its first request.
-        import requests  # noqa: F401
+        from urllib import parse, request
+
+        parts = parse.urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise TransportError(f"endpoint {self.base_url!r} is not an http:// or https:// URL")
+        # The proxy settings are read here; every request goes to one host,
+        # so whether NO_PROXY covers it is decided once.
+        proxies = {} if request.proxy_bypass(parts.netloc) else request.getproxies()
+        # HTTP(S) handlers only, so that a redirect cannot lead to a file or
+        # an FTP server. One opener serves every clone and thread.
+        self._opener = request.OpenerDirector()
+        for handler in (
+            request.ProxyHandler(proxies), request.HTTPHandler(), request.HTTPSHandler(),
+            request.HTTPDefaultErrorHandler(), request.HTTPRedirectHandler(), request.HTTPErrorProcessor(),
+        ):
+            self._opener.add_handler(handler)
 
     def for_run(self, rng: np.random.Generator) -> "LlmBackend":
         clone = copy.copy(self)
@@ -312,7 +327,7 @@ class LlmBackend(DecisionBackend):
 
     def _complete(self, messages: list[dict[str, str]]) -> str:
         """One chat completion with bounded transport retries."""
-        import requests  # loaded by __init__; looked up per call so a wrapper on requests.post sees it
+        import http.client  # loaded with urllib.request by __init__
 
         url = f"{self.base_url}/chat/completions"
         body = {
@@ -326,26 +341,27 @@ class LlmBackend(DecisionBackend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         if self.trace:
             log.info("llm request %s: %s", _redact(headers), json.dumps(body)[:2000])
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
 
         last_error: Exception | None = None
         for attempt in range(self.settings.transport_retries + 1):
             if attempt:
                 self._sleep(attempt)
             try:
-                response = requests.post(url, json=body, headers=headers, timeout=self.settings.timeout)
-            except requests.RequestException as exc:
+                # Looked up per call, so that a wrapper on ``llm.http_post`` sees it.
+                status, reply = http_post(self._opener, url, data, headers, self.settings.timeout)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if response.status_code in _RETRYABLE_STATUS:
-                last_error = TransportError(f"HTTP {response.status_code} from {url}")
+            if status in _RETRYABLE_STATUS:
+                last_error = TransportError(f"HTTP {status} from {url}")
                 continue
-            if response.status_code != 200:
+            if status != 200:
                 raise TransportError(
-                    f"HTTP {response.status_code} from {url}: {response.text[:200]}"
+                    f"HTTP {status} from {url}: {reply.decode('utf-8', 'replace')[:200]}"
                 )
             try:
-                payload = response.json()
-                content = payload["choices"][0]["message"]["content"]
+                content = json.loads(reply)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportError(f"malformed completion payload from {url}: {exc}") from exc
             if not isinstance(content, str):
@@ -361,6 +377,27 @@ class LlmBackend(DecisionBackend):
     def _sleep(self, attempt: int) -> None:
         jitter = float(self.rng.random()) if self.rng is not None else 0.0
         time.sleep(self.settings.backoff_base * (2 ** (attempt - 1)) * (1.0 + jitter))
+
+
+def http_post(opener, url: str, data: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
+    """POST ``data`` to ``url`` once through ``opener``, an
+    ``urllib.request.OpenerDirector``: the reply's status and body, whatever
+    the status.
+
+    Raises ``OSError`` or ``http.client.HTTPException`` when no whole reply
+    arrives.
+    """
+    from urllib.error import HTTPError  # loaded with urllib.request by LlmBackend
+    from urllib.request import Request
+
+    try:
+        with opener.open(Request(url, data, headers), timeout=timeout) as response:
+            return response.status, response.read()
+    except HTTPError as exc:
+        try:
+            return exc.code, exc.read()
+        finally:
+            exc.close()
 
 
 def _redact(headers: dict[str, str]) -> dict[str, str]:

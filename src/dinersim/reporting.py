@@ -224,6 +224,9 @@ def _header(item: dict) -> tuple[RunHandle, dict[Strategy, int]]:
     run_id, seed = _string(item, "run_id"), item["seed"]
     if type(seed) is not int or not seed_in_range(seed):
         raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+    config_seed = item["config"]["seed"]
+    if type(config_seed) is not int or config_seed != seed:
+        raise ValueError(f"seed {seed} differs from the config's seed {config_seed!r}")
     status, executed = _member(_STATUSES, RunStatus, item["status"]), item["iterations_executed"]
     if type(executed) is not int or executed < 0:
         raise ValueError(f"iterations_executed must be a non-negative integer, not {executed!r}")
@@ -324,7 +327,8 @@ def load_event_log(path: str | Path) -> LoadedRun:
     :class:`EventLogError` for a log it cannot read back: an empty file, a
     line that is not UTF-8 JSON, a wrong header or schema, a header
     ``run_id`` that is not a string, ``seed`` that is not an integer in the
-    unsigned 64-bit range, ``iterations_executed`` that is not a
+    unsigned 64-bit range or differs from the config's ``seed``,
+    ``iterations_executed`` that is not a
     non-negative integer or ``status`` that is not a :class:`RunStatus`
     value, a missing key, a
     bad value (such as a census that is not counts of agents or whose total

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 _STRATEGY_RE = re.compile(r"Your strategy \[(P|R1|E|M)\]")
@@ -35,8 +36,11 @@ class FixtureServer:
     def __init__(self, mode: str = "oracle"):
         self.mode = mode
         self.requests: list[dict] = []
+        self.headers: list = []  # each request's headers, looked up case-insensitively
+        self.bodies: list[bytes] = []  # each request's body as sent
         self._lock = threading.Lock()
-        self._statuses: list[int] = []  # pending non-200 statuses to serve first
+        self._scripted: list[tuple[int, bytes]] = []  # pending (status, body) replies to serve first
+        self._stalls: list[float] = []  # pending seconds to wait before closing without a reply
 
         fixture = self
 
@@ -46,14 +50,22 @@ class FixtureServer:
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
-                body = json.loads(self.rfile.read(length) or b"{}")
+                raw = self.rfile.read(length)
+                body = json.loads(raw or b"{}")
                 with fixture._lock:
                     fixture.requests.append(body)
-                    pending = fixture._statuses.pop(0) if fixture._statuses else None
+                    fixture.headers.append(self.headers)
+                    fixture.bodies.append(raw)
+                    stall = fixture._stalls.pop(0) if fixture._stalls else None
+                    pending = fixture._scripted.pop(0) if stall is None and fixture._scripted else None
+                if stall is not None:
+                    time.sleep(stall)
+                    return
                 if pending is not None:
-                    self.send_response(pending)
+                    status, reply = pending
+                    self.send_response(status)
                     self.end_headers()
-                    self.wfile.write(b"scripted failure")
+                    self.wfile.write(reply)
                     return
                 content = fixture.reply_for(body)
                 payload = json.dumps(
@@ -98,8 +110,17 @@ class FixtureServer:
         raise AssertionError(f"unknown fixture mode {mode!r}")
 
     def fail_next(self, statuses: list[int]) -> None:
+        self.reply_next([(status, b"scripted failure") for status in statuses])
+
+    def reply_next(self, replies: list[tuple[int, bytes]]) -> None:
+        """Answer the next requests with these (status, body) pairs, in order."""
         with self._lock:
-            self._statuses.extend(statuses)
+            self._scripted.extend(replies)
+
+    def stall_next(self, seconds: list[float]) -> None:
+        """Hold each of the next requests this long, then close without a reply."""
+        with self._lock:
+            self._stalls.extend(seconds)
 
     @property
     def base_url(self) -> str:

@@ -388,7 +388,7 @@ class TestReport:
 
     # The header of a run of two moralists that ran one iteration.
     HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "seed": 0, "status": "converged",
-                         "iterations_executed": 1, "initial_census": {"M": 2}})
+                         "iterations_executed": 1, "initial_census": {"M": 2}, "config": {"seed": 0}})
     SCOLD = (b'{"kind": "punishment", "iteration": 1, "punisher": "a1", "target": "%s", '
              b'"level": "defection", "cost_to_punisher": 1.0, "cost_to_target": 6.0}\n')
 
@@ -517,6 +517,8 @@ class TestReport:
          "line 6", "status is completed, but the last census says converged"),
         (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"M": 2, "P": 0', b'"M": 1, "P": 1'),
          "line 6", "status is converged, but the last census says completed"),
+        (HEADER.replace('"config": {"seed": 0}', '"config": {"seed": 99}').encode(),
+         "line 1", "seed 0 differs from the config's seed 99"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
@@ -531,7 +533,7 @@ class TestReport:
             "bill-total-not-number", "location-not-string", "group-not-string", "draw-equals-one", "status-unknown",
             "meal-payoff-key-renamed", "meal-payoff-key-dropped", "meal-payoffs-not-in-seat-order",
             "run-id-not-string", "seed-out-of-range", "iterations-executed-negative", "status-running",
-            "completed-but-homogeneous", "converged-but-mixed"])
+            "completed-but-homogeneous", "converged-but-mixed", "seed-differs-from-config"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)
@@ -588,11 +590,12 @@ assert cli.main(["replicate", "--combination", "1", "--punishment", "6:1", "--ba
                  "--seeds", "2", "--out", str(out / "batch")]) == 0
 assert cli.main(["report", "--log", str(out / "sim" / "events.jsonl"), "--out", str(out / "rebuilt")]) == 0
 assert cli.main(["eval-backend", "--backend", "oracle", "--out", str(out / "accuracy.json")]) == 0
-loaded = sorted(name for name in ("requests", "urllib3") if name in sys.modules)
+loaded = sorted(name for name in ("urllib.request", "http.client") if name in sys.modules)
 assert not loaded, f"oracle commands loaded {loaded}"
 
 dinersim.LlmBackend(base_url="http://127.0.0.1:9", model="m")
-assert "requests" in sys.modules, "building an LlmBackend did not load requests"
+assert "urllib.request" in sys.modules, "building an LlmBackend did not load urllib.request"
+assert "requests" not in sys.modules, "building an LlmBackend loaded requests"
 """
 
 

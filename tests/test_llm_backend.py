@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import socket
 from dataclasses import replace
 from itertools import product
 
@@ -18,6 +20,7 @@ from dinersim.backends.base import (
     SchemaError,
     TransportError,
 )
+from dinersim.backends import llm
 from dinersim.backends.llm import LlmBackend, load_templates, parse_reply, render_prompt
 from dinersim.backends.oracle import oracle_decide
 from dinersim.model import BackendConfig, MealChoice, PunishmentMode, paper_preset
@@ -312,6 +315,93 @@ class TestLlmDecide:
                 backend.decide(order_ctx)
         assert "super-secret-token" not in caplog.text
         assert "Bearer ***" in caplog.text
+
+
+def closed_port() -> int:
+    """A loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture()
+def no_proxy_env(monkeypatch):
+    for name in ("HTTP_PROXY", "http_proxy", "HTTPS_PROXY", "https_proxy", "NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+class TestTransport:
+    def test_nothing_listening_fails_after_every_attempt(self, order_ctx, monkeypatch):
+        attempts = []
+
+        def counting_post(*args):
+            attempts.append(args[1])
+            return post(*args)
+
+        post = llm.http_post
+        monkeypatch.setattr(llm, "http_post", counting_post)
+        backend = LlmBackend(settings=fast_settings(transport_retries=2),
+                             base_url=f"http://127.0.0.1:{closed_port()}/v1", model="m")
+        with pytest.raises(TransportError, match="unreachable after 3 attempts"):
+            backend.decide(order_ctx)
+        assert len(attempts) == 3
+
+    def test_reply_slower_than_timeout_is_retried(self, order_ctx):
+        with FixtureServer(mode="oracle") as server:
+            server.stall_next([1.0])
+            decision = make_backend(server, timeout=0.2, transport_retries=1).decide(order_ctx)
+            assert len(server.requests) == 2
+        assert decision.rationale == "scripted oracle replay"
+
+    @pytest.mark.parametrize("reply, problem", [
+        (b"<html>busy</html>", "malformed completion payload"),
+        (b'{"id": "x"}', "malformed completion payload"),
+        (b'{"choices": []}', "malformed completion payload"),
+        (b'{"choices": [{"message": {"content": 7}}]}', "completion content is not text"),
+    ], ids=["not-json", "no-choices", "empty-choices", "content-not-string"])
+    def test_malformed_200_reply_is_transport_error(self, order_ctx, reply, problem):
+        with FixtureServer(mode="oracle") as server:
+            server.reply_next([(200, reply)])
+            with pytest.raises(TransportError, match=problem):
+                make_backend(server, transport_retries=3).decide(order_ctx)
+            assert len(server.requests) == 1
+
+    @pytest.mark.parametrize("base_url", [
+        "file:///etc", "ftp://127.0.0.1/v1", "localhost:8080/v1", "127.0.0.1:8080/v1", "http:///v1",
+    ])
+    def test_endpoint_that_is_not_http_is_rejected_when_built(self, base_url):
+        with pytest.raises(TransportError, match="is not an http:// or https:// URL"):
+            LlmBackend(settings=fast_settings(), base_url=base_url, model="m")
+
+    @pytest.mark.parametrize("api_key, authorization", [("test-key", "Bearer test-key"), ("", None)])
+    def test_headers_and_body_bytes(self, order_ctx, api_key, authorization):
+        with FixtureServer(mode="oracle") as server:
+            LlmBackend(settings=fast_settings(), base_url=server.base_url,
+                       model="fixture-model", api_key=api_key).decide(order_ctx)
+        (headers,) = server.headers
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == authorization
+        body = {
+            "model": "fixture-model",
+            "messages": [{"role": "user", "content": render_prompt(order_ctx, load_templates())}],
+            "temperature": 0.2,
+            "top_p": 0.9,
+        }
+        assert server.bodies == [json.dumps(body, allow_nan=False).encode("utf-8")]
+
+    def test_proxy_is_used_unless_no_proxy_covers_the_host(self, order_ctx, no_proxy_env):
+        no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+        with FixtureServer(mode="oracle") as server:
+            through_proxy = make_backend(server, transport_retries=1)
+            no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+            direct = make_backend(server)
+            no_proxy_env.delenv("NO_PROXY")  # read when the backend was built
+            direct.decide(order_ctx)
+            assert len(server.requests) == 1
+            with pytest.raises(TransportError, match="unreachable after 2 attempts"):
+                through_proxy.decide(order_ctx)
+            assert len(server.requests) == 1
 
 
 # sha256 of the prompts rendered with the default templates, concatenated in
