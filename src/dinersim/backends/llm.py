@@ -259,20 +259,21 @@ class LlmBackend(DecisionBackend):
         # The HTTP stack loads with the first LLM backend, not with the
         # package: oracle-only commands start without it, and an LLM run
         # pays for it here in set-up rather than in its first request.
+        import ssl
         from urllib import parse, request
 
         parts = parse.urlsplit(self.base_url)
         if parts.scheme not in ("http", "https") or not parts.netloc:
             raise TransportError(f"endpoint {self.base_url!r} is not an http:// or https:// URL")
-        # The proxy settings are read here; every request goes to one host,
-        # so whether NO_PROXY covers it is decided once.
-        proxies = {} if request.proxy_bypass(parts.netloc) else request.getproxies()
-        # HTTP(S) handlers only, so that a redirect cannot lead to a file or
-        # an FTP server. One opener serves every clone and thread.
+        # Transport handlers only: no redirect or error handler, so every
+        # reply comes back as it is and a 3xx is a failed request, never a
+        # second request carrying the API key. One SSL context (one load of
+        # the CA store) and one opener serve every clone and thread.
         self._opener = request.OpenerDirector()
         for handler in (
-            request.ProxyHandler(proxies), request.HTTPHandler(), request.HTTPSHandler(),
-            request.HTTPDefaultErrorHandler(), request.HTTPRedirectHandler(), request.HTTPErrorProcessor(),
+            request.ProxyHandler(),
+            request.HTTPHandler(),
+            request.HTTPSHandler(context=ssl.create_default_context()),
         ):
             self._opener.add_handler(handler)
 
@@ -381,23 +382,16 @@ class LlmBackend(DecisionBackend):
 
 def http_post(opener, url: str, data: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
     """POST ``data`` to ``url`` once through ``opener``, an
-    ``urllib.request.OpenerDirector``: the reply's status and body, whatever
-    the status.
+    ``urllib.request.OpenerDirector`` without error handlers: the reply's
+    status and body, whatever the status.
 
     Raises ``OSError`` or ``http.client.HTTPException`` when no whole reply
     arrives.
     """
-    from urllib.error import HTTPError  # loaded with urllib.request by LlmBackend
-    from urllib.request import Request
+    from urllib.request import Request  # loaded by LlmBackend
 
-    try:
-        with opener.open(Request(url, data, headers), timeout=timeout) as response:
-            return response.status, response.read()
-    except HTTPError as exc:
-        try:
-            return exc.code, exc.read()
-        finally:
-            exc.close()
+    with opener.open(Request(url, data, headers), timeout=timeout) as response:
+        return response.status, response.read()
 
 
 def _redact(headers: dict[str, str]) -> dict[str, str]:

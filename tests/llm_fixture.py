@@ -39,7 +39,7 @@ class FixtureServer:
         self.headers: list = []  # each request's headers, looked up case-insensitively
         self.bodies: list[bytes] = []  # each request's body as sent
         self._lock = threading.Lock()
-        self._scripted: list[tuple[int, bytes]] = []  # pending (status, body) replies to serve first
+        self._scripted: list[tuple[int, bytes, dict[str, str]]] = []  # pending (status, body, headers) replies to serve first
         self._stalls: list[float] = []  # pending seconds to wait before closing without a reply
 
         fixture = self
@@ -47,6 +47,11 @@ class FixtureServer:
         class Handler(BaseHTTPRequestHandler):
             def log_message(self, *args):  # keep test output quiet
                 pass
+
+            def do_GET(self):  # only a followed redirect would send one
+                with fixture._lock:
+                    fixture.headers.append(self.headers)
+                self.send_error(405)
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
@@ -62,8 +67,10 @@ class FixtureServer:
                     time.sleep(stall)
                     return
                 if pending is not None:
-                    status, reply = pending
+                    status, reply, headers = pending
                     self.send_response(status)
+                    for name, value in headers.items():
+                        self.send_header(name, value)
                     self.end_headers()
                     self.wfile.write(reply)
                     return
@@ -112,10 +119,11 @@ class FixtureServer:
     def fail_next(self, statuses: list[int]) -> None:
         self.reply_next([(status, b"scripted failure") for status in statuses])
 
-    def reply_next(self, replies: list[tuple[int, bytes]]) -> None:
-        """Answer the next requests with these (status, body) pairs, in order."""
+    def reply_next(self, replies: list[tuple[int, bytes]], headers: dict[str, str] | None = None) -> None:
+        """Answer the next requests with these (status, body) pairs, in order,
+        each with ``headers``."""
         with self._lock:
-            self._scripted.extend(replies)
+            self._scripted.extend((status, body, headers or {}) for status, body in replies)
 
     def stall_next(self, seconds: list[float]) -> None:
         """Hold each of the next requests this long, then close without a reply."""

@@ -393,15 +393,21 @@ class TestTransport:
     def test_proxy_is_used_unless_no_proxy_covers_the_host(self, order_ctx, no_proxy_env):
         no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
         with FixtureServer(mode="oracle") as server:
-            through_proxy = make_backend(server, transport_retries=1)
-            no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
-            direct = make_backend(server)
-            no_proxy_env.delenv("NO_PROXY")  # read when the backend was built
-            direct.decide(order_ctx)
-            assert len(server.requests) == 1
             with pytest.raises(TransportError, match="unreachable after 2 attempts"):
-                through_proxy.decide(order_ctx)
+                make_backend(server, transport_retries=1).decide(order_ctx)
+            assert server.requests == []
+            no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+            make_backend(server).decide(order_ctx)
             assert len(server.requests) == 1
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, order_ctx, status):
+        with FixtureServer(mode="oracle") as server, FixtureServer(mode="oracle") as elsewhere:
+            server.reply_next([(status, b"moved")], headers={"Location": f"{elsewhere.base_url}/chat/completions"})
+            with pytest.raises(TransportError, match=f"HTTP {status} from "):
+                make_backend(server, transport_retries=3).decide(order_ctx)
+            assert len(server.requests) == 1
+        assert elsewhere.headers == []
 
 
 # sha256 of the prompts rendered with the default templates, concatenated in
