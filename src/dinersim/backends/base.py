@@ -44,12 +44,6 @@ class DecisionKind(str, Enum):
     PUNISH_META_NON_PUNISHER = "punish_meta_non_punisher"
 
 
-PUNISH_KINDS = (
-    DecisionKind.PUNISH_DEFECTOR,
-    DecisionKind.PUNISH_NON_PUNISHER,
-    DecisionKind.PUNISH_META_NON_PUNISHER,
-)
-
 ORDER_CHOICES = ("budget", "premium")
 PUNISH_CHOICES = ("punish", "abstain")
 

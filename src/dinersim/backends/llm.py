@@ -17,6 +17,7 @@ import copy
 import json
 import logging
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
@@ -59,6 +60,13 @@ TEMPLATE_FILES = {
 }
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+
+# What a request cannot carry. ``http.client`` encodes header values as
+# Latin-1 and refuses line breaks in them, and sends the URL's path as ASCII,
+# refusing whitespace and control characters; only the host may be non-ASCII,
+# since it goes out IDNA-encoded.
+_UNSENDABLE_IN_KEY = re.compile(r"[^\x20-\x7e\xa0-\xff]")
+_UNSENDABLE_IN_URL = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 
 # Each strategy's behavioural contract, as the prompts state it; the rule
 # oracle implements the same contracts.
@@ -242,7 +250,6 @@ class LlmBackend(DecisionBackend):
         base_url: str | None = None,
         model: str | None = None,
         api_key: str | None = None,
-        rng: np.random.Generator | None = None,
         trace: bool = False,
     ):
         self.settings = settings or BackendConfig(kind="llm")
@@ -253,7 +260,9 @@ class LlmBackend(DecisionBackend):
             raise TransportError(f"no endpoint configured; set {ENV_BASE_URL}")
         if not self.model:
             raise TransportError(f"no model configured; set {ENV_MODEL}")
-        self.rng = rng
+        if self.api_key and _UNSENDABLE_IN_KEY.search(self.api_key):
+            raise TransportError("API key holds a character outside printable Latin-1")
+        self.rng: np.random.Generator | None = None  # bound per run by for_run
         self.trace = trace
         self.templates = load_templates(self.settings.template_dir)
         # The HTTP stack loads with the first LLM backend, not with the
@@ -265,6 +274,12 @@ class LlmBackend(DecisionBackend):
         parts = parse.urlsplit(self.base_url)
         if parts.scheme not in ("http", "https") or not parts.netloc:
             raise TransportError(f"endpoint {self.base_url!r} is not an http:// or https:// URL")
+        outside_host = parts.netloc.rpartition("@")[0] + parts.path + parts.query + parts.fragment
+        if _UNSENDABLE_IN_URL.search(self.base_url) or not outside_host.isascii():
+            raise TransportError(
+                f"endpoint {self.base_url!r} holds whitespace, a control character"
+                " or a non-ASCII character outside its host"
+            )
         # Transport handlers only: no redirect or error handler, so every
         # reply comes back as it is and a 3xx is a failed request, never a
         # second request carrying the API key. One SSL context (one load of

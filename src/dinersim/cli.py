@@ -191,14 +191,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def preset_config(args: argparse.Namespace, seed: int) -> SimulationConfig:
+    """The checked paper preset that ``--combination`` and ``--punishment`` name."""
+    return validate_config(paper_preset(
+        args.combination, args.punishment, seed, backend=BackendConfig(kind=args.backend)
+    ))
+
+
 def cmd_preset(args: argparse.Namespace) -> int:
-    config = paper_preset(
-        args.combination,
-        None if args.punishment == "none" else args.punishment,
-        args.seed,
-        backend=BackendConfig(kind=args.backend),
-    )
-    validate_config(config)
+    config = preset_config(args, args.seed)
     save_config(config, args.out)
     print(f"wrote combination {args.combination} ({args.punishment}) config to {args.out}")
     return EXIT_OK
@@ -249,12 +250,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     if args.config is not None:
         config = config_from_file(args.config, args.backend, seeds[0])
     else:
-        config = validate_config(paper_preset(
-            args.combination,
-            None if args.punishment == "none" else args.punishment,
-            seeds[0],
-            backend=BackendConfig(kind=args.backend),
-        ))
+        config = preset_config(args, seeds[0])
     backend = make_backend(config.backend, args.trace_llm)
 
     out_dir = Path(args.out)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .backends.base import (
@@ -43,30 +44,65 @@ from .model import (
 log = logging.getLogger(__name__)
 
 
-def _base_context(
-    agent: AgentState,
-    kind: DecisionKind,
-    *,
-    iteration: int,
-    location: str,
-    roster: tuple[RosterEntry, ...],
-    params: PunishmentParams,
-    **extra,
-) -> DecisionContext:
-    return DecisionContext(
-        kind=kind,
-        iteration=iteration,
-        location=location,
-        actor_name=agent.name,
-        actor_strategy=agent.strategy,
-        actor_lifestyle=agent.lifestyle,
-        actor_r1_punished=agent.r1_punished,
-        roster=roster,
-        punishment_mode=params.mode,
-        punishment_p=params.p,
-        punishment_k=params.k,
-        **extra,
-    )
+@dataclass(frozen=True, slots=True)
+class RoundSetting:
+    """What every decision of one group round shares."""
+
+    iteration: int
+    location: str
+    params: PunishmentParams
+    backend: DecisionBackend
+    error_policy: str = "abort"
+
+    def context(
+        self, agent: AgentState, kind: DecisionKind, seen: dict[str, RosterEntry], **extra
+    ) -> DecisionContext:
+        """``agent``'s context for one decision; its roster is everyone else
+        in ``seen``."""
+        params = self.params
+        return DecisionContext(
+            kind=kind,
+            iteration=self.iteration,
+            location=self.location,
+            actor_name=agent.name,
+            actor_strategy=agent.strategy,
+            actor_lifestyle=agent.lifestyle,
+            actor_r1_punished=agent.r1_punished,
+            roster=tuple(entry for agent_id, entry in seen.items() if agent_id != agent.agent_id),
+            punishment_mode=params.mode,
+            punishment_p=params.p,
+            punishment_k=params.k,
+            **extra,
+        )
+
+    def decide(self, contexts: list[DecisionContext], policy: str) -> list[Decision]:
+        """Ask the backend for every context, in order, and check each answer.
+
+        Under ``"abstain"`` a failed decision becomes an abstention and a
+        warning; under any other policy the first failure is raised.
+        """
+        abstain = policy == "abstain"
+        results = (self.backend.decide_each if abstain else self.backend.decide_many)(contexts)
+        decisions = []
+        for ctx, result in zip(contexts, results):
+            if isinstance(result, Decision):
+                try:
+                    result = check_decision(result, ctx)
+                except SchemaError as exc:
+                    if not abstain:
+                        raise
+                    result = exc
+            if isinstance(result, BackendError):
+                log.warning(
+                    "backend failed on %s by %s against %s; recording abstention: %s",
+                    ctx.kind.value,
+                    ctx.actor_name,
+                    ctx.target_name,
+                    result,
+                )
+                result = Decision(choice="abstain", rationale=f"backend failure: {result}")
+            decisions.append(result)
+        return decisions
 
 
 def _seen(
@@ -90,43 +126,19 @@ def _seen(
     }
 
 
-def _roster(seen: dict[str, RosterEntry], actor: AgentState) -> tuple[RosterEntry, ...]:
-    return tuple(entry for agent_id, entry in seen.items() if agent_id != actor.agent_id)
-
-
 def collect_orders(
-    group: Sequence[AgentState],
-    menu: MenuConfig,
-    backend: DecisionBackend,
-    *,
-    iteration: int,
-    location: str,
-    params: PunishmentParams,
+    group: Sequence[AgentState], menu: MenuConfig, setting: RoundSetting
 ) -> dict[str, MealChoice]:
     """Ask the backend for one meal choice per member, in seat order.
 
     Orders are simultaneous: nobody sees anyone else's choice. The engine
-    never overrides a backend decision; backend failures propagate.
+    never overrides a backend decision; a failed order aborts the round
+    under every error policy.
     """
     seen = _seen(group)
-    contexts = [
-        _base_context(
-            agent,
-            DecisionKind.ORDER,
-            iteration=iteration,
-            location=location,
-            roster=_roster(seen, agent),
-            params=params,
-            menu=menu,
-        )
-        for agent in group
-    ]
-    decisions = backend.decide_many(contexts)
-    choices = {}
-    for agent, ctx, decision in zip(group, contexts, decisions):
-        check_decision(decision, ctx)
-        choices[agent.agent_id] = MealChoice(decision.choice)
-    return choices
+    contexts = [setting.context(agent, DecisionKind.ORDER, seen, menu=menu) for agent in group]
+    decisions = setting.decide(contexts, "abort")
+    return {agent.agent_id: MealChoice(d.choice) for agent, d in zip(group, decisions)}
 
 
 def settle_bill(orders: dict[str, MealChoice], menu: MenuConfig) -> dict[str, float]:
@@ -138,35 +150,6 @@ def settle_bill(orders: dict[str, MealChoice], menu: MenuConfig) -> dict[str, fl
     billed = share * n
     assert abs(billed - total) <= 1e-9 * max(1.0, abs(total)), "bill shares must cover the bill"
     return payoffs
-
-
-def _punish_decisions(
-    backend: DecisionBackend,
-    contexts: list[DecisionContext],
-    error_policy: str,
-) -> list[Decision]:
-    """Run a batch of punish decisions under the configured error policy."""
-    if error_policy == "abstain":
-        decisions = []
-        for ctx, result in zip(contexts, backend.decide_each(contexts)):
-            if isinstance(result, Decision):
-                try:
-                    result = check_decision(result, ctx)
-                except SchemaError as exc:
-                    result = exc
-            if isinstance(result, BackendError):
-                log.warning(
-                    "backend failed on %s by %s against %s; recording abstention: %s",
-                    ctx.kind.value,
-                    ctx.actor_name,
-                    ctx.target_name,
-                    result,
-                )
-                result = Decision(choice="abstain", rationale=f"backend failure: {result}")
-            decisions.append(result)
-        return decisions
-    decisions = backend.decide_many(contexts)
-    return [check_decision(d, ctx) for d, ctx in zip(decisions, contexts)]
 
 
 def _event_costs(decision: Decision, params: PunishmentParams) -> tuple[float, float]:
@@ -185,12 +168,7 @@ def _punish_stage(
     kind: DecisionKind,
     level: PunishmentLevel,
     seen: dict[str, RosterEntry],
-    backend: DecisionBackend,
-    params: PunishmentParams,
-    *,
-    iteration: int,
-    location: str,
-    error_policy: str,
+    setting: RoundSetting,
 ) -> tuple[list[PunishmentEvent], dict[str, tuple[str, ...]]]:
     """One level of the metanorm: each member outside ``judged`` decides
     whether to punish each of ``targets``, in (observer seat, target seat)
@@ -207,28 +185,21 @@ def _punish_stage(
         for target in targets
     ]
     contexts = [
-        _base_context(
-            observer,
-            kind,
-            iteration=iteration,
-            location=location,
-            roster=_roster(seen, observer),
-            params=params,
-            target_name=target.name,
-            spared=spared_by.get(target.agent_id, ()),
+        setting.context(
+            observer, kind, seen, target_name=target.name, spared=spared_by.get(target.agent_id, ())
         )
         for observer, target in pairs
     ]
     events = []
     spared: dict[str, list[str]] = {}
-    for (observer, target), decision in zip(pairs, _punish_decisions(backend, contexts, error_policy)):
+    for (observer, target), decision in zip(pairs, setting.decide(contexts, setting.error_policy)):
         if decision.choice != "punish":
             spared.setdefault(observer.agent_id, []).append(target.name)
             continue
-        cost_k, cost_p = _event_costs(decision, params)
+        cost_k, cost_p = _event_costs(decision, setting.params)
         events.append(
             PunishmentEvent(
-                iteration=iteration,
+                iteration=setting.iteration,
                 punisher_id=observer.agent_id,
                 target_id=target.agent_id,
                 level=level,
@@ -240,14 +211,7 @@ def _punish_stage(
 
 
 def punishment_round_1(
-    group: Sequence[AgentState],
-    orders: dict[str, MealChoice],
-    backend: DecisionBackend,
-    params: PunishmentParams,
-    *,
-    iteration: int,
-    location: str,
-    error_policy: str = "abort",
+    group: Sequence[AgentState], orders: dict[str, MealChoice], setting: RoundSetting
 ) -> tuple[list[PunishmentEvent], dict[str, tuple[str, ...]]]:
     """Round 1: every non-defector decides, per defector, whether to punish.
 
@@ -258,8 +222,7 @@ def punishment_round_1(
     defectors = [a for a in group if orders[a.agent_id] is MealChoice.PREMIUM]
     events, spared = _punish_stage(
         group, {a.agent_id for a in defectors}, defectors, {},
-        DecisionKind.PUNISH_DEFECTOR, PunishmentLevel.DEFECTION, _seen(group, orders),
-        backend, params, iteration=iteration, location=location, error_policy=error_policy,
+        DecisionKind.PUNISH_DEFECTOR, PunishmentLevel.DEFECTION, _seen(group, orders), setting,
     )
     punished = {e.target_id for e in events}
     for agent in defectors:
@@ -276,15 +239,10 @@ _METANORM_LEVELS = (
 
 def metanorm_round_2(
     group: Sequence[AgentState],
-    spared: dict[str, tuple[str, ...]],
-    backend: DecisionBackend,
-    params: PunishmentParams,
-    *,
     orders: dict[str, MealChoice],
+    spared: dict[str, tuple[str, ...]],
     round1_events: Sequence[PunishmentEvent],
-    iteration: int,
-    location: str,
-    error_policy: str = "abort",
+    setting: RoundSetting,
 ) -> list[PunishmentEvent]:
     """Round 2: punish those who spared a defector (2a), then those who
     spared one of them (2b). ``spared`` is round 1's map of the defectors
@@ -301,8 +259,7 @@ def metanorm_round_2(
         judged |= spared.keys()
         stage_events, spared = _punish_stage(
             group, judged, [a for a in group if a.agent_id in spared], spared, kind, level,
-            _seen(group, orders, [*round1_events, *events]),
-            backend, params, iteration=iteration, location=location, error_policy=error_policy,
+            _seen(group, orders, [*round1_events, *events]), setting,
         )
         events += stage_events
     return events
@@ -417,19 +374,11 @@ def run_group_round(
         seating = _seatings.get(key)
         if seating is not None:
             return _reseat(group, seating, group_id=group_id, location=location, iteration=iteration)
-    orders = collect_orders(
-        group, menu, backend, iteration=iteration, location=location, params=params,
-    )
+    setting = RoundSetting(iteration, location, params, backend, error_policy)
+    orders = collect_orders(group, menu, setting)
     meal_payoffs = settle_bill(orders, menu)
-    round1_events, spared = punishment_round_1(
-        group, orders, backend, params,
-        iteration=iteration, location=location, error_policy=error_policy,
-    )
-    round2_events = metanorm_round_2(
-        group, spared, backend, params,
-        orders=orders, round1_events=round1_events,
-        iteration=iteration, location=location, error_policy=error_policy,
-    )
+    round1_events, spared = punishment_round_1(group, orders, setting)
+    round2_events = metanorm_round_2(group, orders, spared, round1_events, setting)
     events = tuple(round1_events + round2_events)
     result = GroupRound(
         group_id=group_id,

@@ -224,6 +224,8 @@ def _header(item: dict) -> tuple[RunHandle, dict[Strategy, int]]:
     run_id, seed = _string(item, "run_id"), item["seed"]
     if type(seed) is not int or not seed_in_range(seed):
         raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+    if not run_id.endswith(f"-s{seed}"):
+        raise ValueError(f"run_id {run_id!r} does not end in the seed's suffix '-s{seed}'")
     config_seed = item["config"]["seed"]
     if type(config_seed) is not int or config_seed != seed:
         raise ValueError(f"seed {seed} differs from the config's seed {config_seed!r}")
@@ -326,8 +328,9 @@ def load_event_log(path: str | Path) -> LoadedRun:
     utilities line is split by each group's orders. Raises
     :class:`EventLogError` for a log it cannot read back: an empty file, a
     line that is not UTF-8 JSON, a wrong header or schema, a header
-    ``run_id`` that is not a string, ``seed`` that is not an integer in the
-    unsigned 64-bit range or differs from the config's ``seed``,
+    ``run_id`` that is not a string or does not end in ``-s<seed>``,
+    ``seed`` that is not an integer in the unsigned 64-bit range or differs
+    from the config's ``seed``,
     ``iterations_executed`` that is not a
     non-negative integer or ``status`` that is not a :class:`RunStatus`
     value, a missing key, a

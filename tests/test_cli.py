@@ -387,7 +387,7 @@ class TestReport:
         assert not rebuilt.exists()
 
     # The header of a run of two moralists that ran one iteration.
-    HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r", "seed": 0, "status": "converged",
+    HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r-s0", "seed": 0, "status": "converged",
                          "iterations_executed": 1, "initial_census": {"M": 2}, "config": {"seed": 0}})
     SCOLD = (b'{"kind": "punishment", "iteration": 1, "punisher": "a1", "target": "%s", '
              b'"level": "defection", "cost_to_punisher": 1.0, "cost_to_target": 6.0}\n')
@@ -506,7 +506,7 @@ class TestReport:
         (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2").replace(
             b'"meal_payoffs": {"a1": 0.5, "a2": 0.5}', b'"meal_payoffs": {"a2": 0.5, "a1": 0.5}'),
          "line 2", "meal_payoffs keys are not in the seat order of the choices of group 'g1' in iteration 1"),
-        (HEADER.replace('"run_id": "r"', '"run_id": 5').encode(), "line 1", "run_id must be a string, not 5"),
+        (HEADER.replace('"run_id": "r-s0"', '"run_id": 5').encode(), "line 1", "run_id must be a string, not 5"),
         (HEADER.replace('"seed": 0', '"seed": 18446744073709551616').encode(),
          "line 1", "seed must be an integer in [0, 2**64), not 18446744073709551616"),
         (HEADER.replace('"iterations_executed": 1', '"iterations_executed": -1').encode(),
@@ -519,6 +519,8 @@ class TestReport:
          "line 6", "status is converged, but the last census says completed"),
         (HEADER.replace('"config": {"seed": 0}', '"config": {"seed": 99}').encode(),
          "line 1", "seed 0 differs from the config's seed 99"),
+        (HEADER.replace('"run_id": "r-s0"', '"run_id": "r-s7"').encode(),
+         "line 1", "run_id 'r-s7' does not end in the seed's suffix '-s0'"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
@@ -533,7 +535,8 @@ class TestReport:
             "bill-total-not-number", "location-not-string", "group-not-string", "draw-equals-one", "status-unknown",
             "meal-payoff-key-renamed", "meal-payoff-key-dropped", "meal-payoffs-not-in-seat-order",
             "run-id-not-string", "seed-out-of-range", "iterations-executed-negative", "status-running",
-            "completed-but-homogeneous", "converged-but-mixed", "seed-differs-from-config"])
+            "completed-but-homogeneous", "converged-but-mixed", "seed-differs-from-config",
+            "run-id-suffix-differs-from-seed"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)

@@ -12,12 +12,14 @@ from dinersim.backends.base import (
     DecisionBackend,
     DecisionContext,
     DecisionKind,
+    SchemaError,
     TransportError,
     UnsupportedModeError,
 )
 from dinersim.backends.llm import LlmBackend
 from dinersim.backends.oracle import RuleOracle, oracle_decide
 from dinersim.engine import (
+    RoundSetting,
     apply_utilities,
     collect_orders,
     metanorm_round_2,
@@ -64,26 +66,17 @@ def run_round(labels, params=P63, punished=None, backend=None, orders=None):
 class TestCollectOrders:
     def test_cooperating_strategies_order_budget(self, oracle):
         group = make_group(["M", "P", "E"])
-        orders = collect_orders(
-            group, DEFAULT_MENU, oracle,
-            iteration=1, location="pub", params=P63,
-        )
+        orders = collect_orders(group, DEFAULT_MENU, RoundSetting(1, "pub", P63, oracle))
         assert all(choice is MealChoice.BUDGET for choice in orders.values())
 
     def test_fresh_r1_orders_premium(self, oracle):
         group = make_group(["R1"] + ["E"])
-        orders = collect_orders(
-            group, DEFAULT_MENU, oracle,
-            iteration=1, location="pub", params=P63,
-        )
+        orders = collect_orders(group, DEFAULT_MENU, RoundSetting(1, "pub", P63, oracle))
         assert orders["a1"] is MealChoice.PREMIUM
 
     def test_converted_r1_orders_budget(self, oracle):
         group = make_group(["R1", "E"], punished={"a1"})
-        orders = collect_orders(
-            group, DEFAULT_MENU, oracle,
-            iteration=1, location="pub", params=P63,
-        )
+        orders = collect_orders(group, DEFAULT_MENU, RoundSetting(1, "pub", P63, oracle))
         assert orders["a1"] is MealChoice.BUDGET
 
 
@@ -113,11 +106,8 @@ class TestSettleBill:
 class TestPunishmentRound1:
     def test_punishers_punish_fresh_r1(self, oracle):
         group = make_group(["M", "P", "E", "R1"])
-        orders = collect_orders(group, DEFAULT_MENU, oracle,
-                               iteration=1, location="pub", params=P63)
-        events, spared = punishment_round_1(
-            group, orders, oracle, P63, iteration=1, location="pub"
-        )
+        orders = collect_orders(group, DEFAULT_MENU, RoundSetting(1, "pub", P63, oracle))
+        events, spared = punishment_round_1(group, orders, RoundSetting(1, "pub", P63, oracle))
         assert spared == {"a3": ("a4",)}
         assert {(e.punisher_id, e.target_id) for e in events} == {("a1", "a4"), ("a2", "a4")}
         assert all(e.level is PunishmentLevel.DEFECTION for e in events)
@@ -125,20 +115,14 @@ class TestPunishmentRound1:
 
     def test_no_defectors_no_events(self, oracle):
         group = make_group(["M", "P", "E", "E"])
-        orders = collect_orders(group, DEFAULT_MENU, oracle,
-                               iteration=1, location="pub", params=P63)
-        events, spared = punishment_round_1(
-            group, orders, oracle, P63, iteration=1, location="pub"
-        )
+        orders = collect_orders(group, DEFAULT_MENU, RoundSetting(1, "pub", P63, oracle))
+        events, spared = punishment_round_1(group, orders, RoundSetting(1, "pub", P63, oracle))
         assert events == [] and spared == {}
 
     def test_no_punishing_strategies_leaves_flags_unset(self, oracle):
         group = make_group(["E", "E", "R1", "R1"])
-        orders = collect_orders(group, DEFAULT_MENU, oracle,
-                               iteration=1, location="pub", params=P63)
-        events, spared = punishment_round_1(
-            group, orders, oracle, P63, iteration=1, location="pub"
-        )
+        orders = collect_orders(group, DEFAULT_MENU, RoundSetting(1, "pub", P63, oracle))
+        events, spared = punishment_round_1(group, orders, RoundSetting(1, "pub", P63, oracle))
         assert events == []
         assert spared == {"a1": ("a3", "a4"), "a2": ("a3", "a4")}
         assert group[2].r1_punished is False and group[3].r1_punished is False
@@ -173,11 +157,8 @@ class TestMetanormRound2:
 
     def test_no_round_two_without_np1(self, oracle):
         group = make_group(["M", "P"])
-        events = metanorm_round_2(
-            group, {}, oracle, P63,
-            orders={"a1": MealChoice.BUDGET, "a2": MealChoice.BUDGET},
-            round1_events=[], iteration=1, location="pub",
-        )
+        orders = {"a1": MealChoice.BUDGET, "a2": MealChoice.BUDGET}
+        events = metanorm_round_2(group, orders, {}, [], RoundSetting(1, "pub", P63, oracle))
         assert events == []
 
     def test_full_punishment_means_empty_round_two(self):
@@ -484,6 +465,52 @@ class TestErrorPolicy:
         assert len(warnings) == 3
         for warning, observer in zip(warnings, ["a1", "a2", "a3"]):
             assert f"by {observer} against a4; recording abstention" in warning
+
+
+class TestDecisionCheck:
+    """The engine checks every decision against its context's schema."""
+
+    class SeverityInExplicitMode(DecisionBackend):
+        """The oracle's choices, but each punish carries a severity nobody asked for."""
+
+        name = "severity-in-explicit-mode"
+
+        def decide(self, ctx: DecisionContext) -> Decision:
+            decision = oracle_decide(ctx)
+            if decision.choice == "punish":
+                return Decision(choice="punish", severity=(6.0, 1.0))
+            return decision
+
+    def play(self, backend, error_policy):
+        group = make_group(["M", "P", "E", "R1"])
+        return group, run_group_round(
+            group, group_id="g1", location="pub", iteration=1,
+            menu=DEFAULT_MENU, params=P63, backend=backend, error_policy=error_policy,
+        )
+
+    @pytest.mark.parametrize("error_policy", ["abort", "abstain"])
+    def test_out_of_enum_order_raises_under_both_policies(self, error_policy):
+        backend = ScriptedOrdersBackend({"a1": "budget", "a2": "lobster", "a3": "budget", "a4": "premium"})
+        with pytest.raises(SchemaError, match="'lobster' is outside the order enum"):
+            self.play(backend, error_policy)
+
+    def test_unrequested_severity_raises_under_abort(self):
+        with pytest.raises(SchemaError, match="severity supplied but not requested"):
+            self.play(self.SeverityInExplicitMode(), "abort")
+
+    def test_unrequested_severity_becomes_an_abstention_under_abstain(self, caplog):
+        import logging
+
+        with caplog.at_level(logging.WARNING, logger="dinersim.engine"):
+            group, result = self.play(self.SeverityInExplicitMode(), "abstain")
+        assert result.punishment_events == ()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"backend failed on punish_defector by {observer} against a4; recording abstention: "
+            "severity supplied but not requested in this mode"
+            for observer in ("a1", "a2")
+        ]
+        assert group[3].r1_punished is False
+        assert result.iteration_utilities["a4"] == 7.0
 
 
 class TestDecideEach:

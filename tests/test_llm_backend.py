@@ -374,7 +374,33 @@ class TestTransport:
         with pytest.raises(TransportError, match="is not an http:// or https:// URL"):
             LlmBackend(settings=fast_settings(), base_url=base_url, model="m")
 
-    @pytest.mark.parametrize("api_key, authorization", [("test-key", "Bearer test-key"), ("", None)])
+    @pytest.mark.parametrize("api_key", ["abc\n", "k\u20acy", "a\x00b", "a\rb", "a\x85b"],
+                             ids=["newline", "not-latin-1", "nul", "carriage-return", "c1-control"])
+    def test_key_that_cannot_be_sent_is_rejected_when_built(self, api_key):
+        with FixtureServer(mode="oracle") as server:
+            with pytest.raises(TransportError, match="API key holds a character outside printable Latin-1") as err:
+                LlmBackend(settings=fast_settings(), base_url=server.base_url, model="m", api_key=api_key)
+            assert server.requests == []
+        assert api_key not in str(err.value)
+
+    @pytest.mark.parametrize("base_url", [
+        "{server}/v\u00e91", "{server}/v 1", "{server}/v1 ", "{server}/v\t1", "{server}/v1\n", "{server}/v\x7f1",
+        "{server}/v1?q=\u00e9", "{server}/v1#\u00e9", "{server}/v\u30001",
+        "http://exa mple.org/v1", "http://\u00fcser@example.org/v1",
+    ], ids=["non-ascii-path", "space", "trailing-space", "tab", "newline", "del", "non-ascii-query",
+            "non-ascii-fragment", "ideographic-space", "space-in-host", "non-ascii-user"])
+    def test_url_that_cannot_be_sent_is_rejected_when_built(self, base_url):
+        with FixtureServer(mode="oracle") as server:
+            base_url = base_url.format(server=server.base_url.removesuffix("/v1"))
+            with pytest.raises(TransportError, match="holds whitespace, a control character or a non-ASCII"):
+                LlmBackend(settings=fast_settings(), base_url=base_url, model="m")
+            assert server.requests == []
+
+    def test_internationalised_host_is_accepted_when_built(self):
+        backend = LlmBackend(settings=fast_settings(), base_url="https://b\u00fccher.example/v1", model="m")
+        assert backend.base_url == "https://b\u00fccher.example/v1"
+
+    @pytest.mark.parametrize("api_key, authorization", [("test-key", "Bearer test-key"), ("cl\u00e9", "Bearer cl\u00e9"), ("", None)])
     def test_headers_and_body_bytes(self, order_ctx, api_key, authorization):
         with FixtureServer(mode="oracle") as server:
             LlmBackend(settings=fast_settings(), base_url=server.base_url,
