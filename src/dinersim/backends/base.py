@@ -8,9 +8,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from ..model import MealChoice, MenuConfig, PunishmentMode, Strategy
+from ..streams import Stream
 
 
 class BackendError(Exception):
@@ -164,7 +163,7 @@ class DecisionBackend(ABC):
         except BackendError as exc:
             return exc
 
-    def for_run(self, rng: np.random.Generator) -> "DecisionBackend":
+    def for_run(self, rng: Stream) -> "DecisionBackend":
         """Bind a run-scoped RNG (retry jitter only). Default: stateless."""
         del rng
         return self

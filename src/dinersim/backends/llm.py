@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
@@ -25,9 +26,8 @@ from pathlib import Path
 from string import Template
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
 from ..model import BackendConfig, MenuConfig, PunishmentMode, Strategy
+from ..streams import Stream
 from .base import (
     BackendError,
     Decision,
@@ -62,9 +62,9 @@ TEMPLATE_FILES = {
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 # What a request cannot carry. ``http.client`` encodes header values as
-# Latin-1 and refuses line breaks in them, and sends the URL's path as ASCII,
+# Latin-1 and refuses line breaks in them, and sends the URL as ASCII,
 # refusing whitespace and control characters; only the host may be non-ASCII,
-# since it goes out IDNA-encoded.
+# since the backend IDNA-encodes it.
 _UNSENDABLE_IN_KEY = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 _UNSENDABLE_IN_URL = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 
@@ -262,7 +262,8 @@ class LlmBackend(DecisionBackend):
             raise TransportError(f"no model configured; set {ENV_MODEL}")
         if self.api_key and _UNSENDABLE_IN_KEY.search(self.api_key):
             raise TransportError("API key holds a character outside printable Latin-1")
-        self.rng: np.random.Generator | None = None  # bound per run by for_run
+        self.rng: Stream | None = None  # bound per run by for_run, with its own lock
+        self._rng_lock = threading.Lock()
         self.trace = trace
         self.templates = load_templates(self.settings.template_dir)
         # The HTTP stack loads with the first LLM backend, not with the
@@ -274,12 +275,25 @@ class LlmBackend(DecisionBackend):
         parts = parse.urlsplit(self.base_url)
         if parts.scheme not in ("http", "https") or not parts.netloc:
             raise TransportError(f"endpoint {self.base_url!r} is not an http:// or https:// URL")
-        outside_host = parts.netloc.rpartition("@")[0] + parts.path + parts.query + parts.fragment
+        userinfo, _, host_and_port = parts.netloc.rpartition("@")
+        host, _, port = host_and_port.partition(":")
+        outside_host = userinfo + port + parts.path + parts.query + parts.fragment
         if _UNSENDABLE_IN_URL.search(self.base_url) or not outside_host.isascii():
             raise TransportError(
                 f"endpoint {self.base_url!r} holds whitespace, a control character"
                 " or a non-ASCII character outside its host"
             )
+        # Through a proxy the whole URL goes into the request line, which
+        # http.client sends as ASCII, so the host is IDNA-encoded here for
+        # every connection. Everything before the host is ASCII, so its first
+        # occurrence is the host.
+        endpoint = self.base_url
+        if not host.isascii():
+            try:
+                endpoint = endpoint.replace(host, host.encode("idna").decode("ascii"), 1)
+            except UnicodeError as exc:
+                raise TransportError(f"endpoint host {host!r} cannot be IDNA-encoded: {exc}") from None
+        self._url = f"{endpoint}/chat/completions"
         # Transport handlers only: no redirect or error handler, so every
         # reply comes back as it is and a 3xx is a failed request, never a
         # second request carrying the API key. One SSL context (one load of
@@ -292,9 +306,10 @@ class LlmBackend(DecisionBackend):
         ):
             self._opener.add_handler(handler)
 
-    def for_run(self, rng: np.random.Generator) -> "LlmBackend":
+    def for_run(self, rng: Stream) -> "LlmBackend":
         clone = copy.copy(self)
         clone.rng = rng
+        clone._rng_lock = threading.Lock()
         return clone
 
     def decide(self, ctx: DecisionContext) -> Decision:
@@ -345,7 +360,7 @@ class LlmBackend(DecisionBackend):
         """One chat completion with bounded transport retries."""
         import http.client  # loaded with urllib.request by __init__
 
-        url = f"{self.base_url}/chat/completions"
+        url = self._url
         body = {
             "model": self.model,
             "messages": messages,
@@ -391,7 +406,9 @@ class LlmBackend(DecisionBackend):
         )
 
     def _sleep(self, attempt: int) -> None:
-        jitter = float(self.rng.random()) if self.rng is not None else 0.0
+        # Pool threads share the run's stream, which takes no lock itself.
+        with self._rng_lock:
+            jitter = self.rng.random() if self.rng is not None else 0.0
         time.sleep(self.settings.backoff_base * (2 ** (attempt - 1)) * (1.0 + jitter))
 
 

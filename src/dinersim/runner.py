@@ -19,8 +19,6 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any, Callable, Iterator, Sequence
 
-import numpy as np
-
 from .backends.base import BackendError, DecisionBackend
 from .config_io import config_to_dict
 from .engine import run_group_round
@@ -33,6 +31,7 @@ from .model import (
     census_of,
     validate_config,
 )
+from .streams import Stream
 
 log = logging.getLogger(__name__)
 
@@ -122,10 +121,10 @@ def run_id_for(config: SimulationConfig) -> str:
     return f"{_digest(config)[:10]}-s{config.seed}"
 
 
-def derive_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """(imitation_rng, backend_jitter_rng) split from one root seed."""
-    imitation_ss, jitter_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(imitation_ss), np.random.default_rng(jitter_ss)
+def derive_streams(seed: int) -> tuple[Stream, Stream]:
+    """(imitation_rng, backend_jitter_rng) split from one root seed: spawn
+    keys 0 and 1, numpy's ``SeedSequence(seed).spawn(2)`` streams."""
+    return Stream(seed, 0), Stream(seed, 1)
 
 
 def assign_locations(

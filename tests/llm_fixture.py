@@ -38,6 +38,7 @@ class FixtureServer:
         self.requests: list[dict] = []
         self.headers: list = []  # each request's headers, looked up case-insensitively
         self.bodies: list[bytes] = []  # each request's body as sent
+        self.request_lines: list[str] = []  # each request's first line, as a proxy sees the full URL
         self._lock = threading.Lock()
         self._scripted: list[tuple[int, bytes, dict[str, str]]] = []  # pending (status, body, headers) replies to serve first
         self._stalls: list[float] = []  # pending seconds to wait before closing without a reply
@@ -61,6 +62,7 @@ class FixtureServer:
                     fixture.requests.append(body)
                     fixture.headers.append(self.headers)
                     fixture.bodies.append(raw)
+                    fixture.request_lines.append(self.requestline)
                     stall = fixture._stalls.pop(0) if fixture._stalls else None
                     pending = fixture._scripted.pop(0) if stall is None and fixture._scripted else None
                 if stall is not None:

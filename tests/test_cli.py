@@ -593,12 +593,13 @@ assert cli.main(["replicate", "--combination", "1", "--punishment", "6:1", "--ba
                  "--seeds", "2", "--out", str(out / "batch")]) == 0
 assert cli.main(["report", "--log", str(out / "sim" / "events.jsonl"), "--out", str(out / "rebuilt")]) == 0
 assert cli.main(["eval-backend", "--backend", "oracle", "--out", str(out / "accuracy.json")]) == 0
-loaded = sorted(name for name in ("urllib.request", "http.client") if name in sys.modules)
+loaded = sorted(name for name in ("urllib.request", "http.client", "numpy") if name in sys.modules)
 assert not loaded, f"oracle commands loaded {loaded}"
 
 dinersim.LlmBackend(base_url="http://127.0.0.1:9", model="m")
 assert "urllib.request" in sys.modules, "building an LlmBackend did not load urllib.request"
 assert "requests" not in sys.modules, "building an LlmBackend loaded requests"
+assert "numpy" not in sys.modules, "building an LlmBackend loaded numpy"
 """
 
 

@@ -9,20 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dinersim.imitation import (
-    PopulationTooSmall,
-    _bounded,
-    _draws,
-    fermi_probability,
-    imitation_step,
-)
+from dinersim.imitation import PopulationTooSmall, fermi_probability, imitation_step
 from dinersim.model import ImitationOutcome, ImitationParams, Strategy, UtilityBasis, census_of
+from dinersim.streams import Stream
 
 from conftest import make_group
 
 finite_payoffs = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
-# numpy's bit generators; each has its own next_uint32 and next_double.
+# numpy's bit generators: imitation_step takes any generator's integers and random.
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
 
@@ -282,25 +277,22 @@ class TestImitationStreamParity:
             np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
         assert adoptions  # the adoption branch ran
 
-
-class TestBoundedStep:
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda kind: kind.__name__)
-    @pytest.mark.parametrize("span", [1, 7, 2**31 + 1, 2**32 - 1, 2**32])
-    def test_matches_generator_integers(self, span, bit_generator):
-        rng, reference = np.random.Generator(bit_generator(17)), np.random.Generator(bit_generator(17))
-        state, next_uint32, _ = _draws(rng.bit_generator)
-        calls = 0
-
-        def counted(address):
-            nonlocal calls
-            calls += 1
-            return next_uint32(address)
-
-        draws = 2000
-        got = [_bounded(counted, state, span) for _ in range(draws)]
-        assert got == [int(reference.integers(span)) for _ in range(draws)]
-        np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
-        if span == 1:
-            assert calls == 0  # integers(1) consumes nothing
-        elif span == 2**31 + 1:
-            assert calls > 1.3 * draws  # about half of all 32-bit draws are redrawn
+    @pytest.mark.parametrize("basis", list(UtilityBasis))
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_run_stream_matches_the_reference_on_numpy(self, n, basis):
+        """A run's own ``Stream`` against the reference drawing from numpy's
+        generator for the same seed and spawn key."""
+        params = ImitationParams(beta=0.8, utility_basis=basis)
+        for seed in (0, 3, 2**40 + 7):
+            setup = np.random.default_rng(seed)
+            labels = [str(setup.choice(["M", "P", "E", "R1"])) for _ in range(n)]
+            group, reference = make_group(labels), make_group(labels)
+            rng = Stream(seed, 1)
+            reference_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+            for _ in range(4):
+                for a, b in zip(group, reference):
+                    a.iteration_utility = b.iteration_utility = float(setup.normal(0, 2))
+                    a.cumulative_utility = b.cumulative_utility = float(setup.normal(0, 6))
+                assert imitation_step(group, params, rng) == reference_imitation_step(reference, params, reference_rng)
+                assert group == reference
+            assert rng.random() == reference_rng.random()  # both streams end in the same place

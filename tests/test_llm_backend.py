@@ -3,6 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
+import sys
+import threading
+import time
 from dataclasses import replace
 from itertools import product
 
@@ -25,6 +28,7 @@ from dinersim.backends.llm import LlmBackend, load_templates, parse_reply, rende
 from dinersim.backends.oracle import oracle_decide
 from dinersim.model import BackendConfig, MealChoice, PunishmentMode, paper_preset
 from dinersim.runner import run_simulation
+from dinersim.streams import Stream
 
 from llm_fixture import FixtureServer
 
@@ -316,6 +320,51 @@ class TestLlmDecide:
         assert "super-secret-token" not in caplog.text
         assert "Bearer ***" in caplog.text
 
+    def test_concurrent_backoffs_take_one_jitter_draw_each(self, monkeypatch):
+        """Pool threads back off on one run's stream, which takes no lock of
+        its own: every backoff gets its own draw, none is lost or repeated."""
+        delays = []
+        monkeypatch.setattr(llm.time, "sleep", delays.append)
+        backend = LlmBackend(settings=fast_settings(backoff_base=1.0), base_url="http://127.0.0.1:9/v1",
+                             model="m").for_run(HandOverStream(3, 1))
+        threads, calls = 8, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=lambda: [backend._sleep(1) for _ in range(calls)])
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        reference = Stream(3, 1)
+        want = [1.0 + reference.random() for _ in range(threads * calls)]
+        assert sorted(delays) == sorted(want)
+        assert backend.rng.random() == reference.random()  # advanced by exactly threads * calls draws
+
+    def test_each_run_gets_its_own_jitter_lock(self):
+        backend = LlmBackend(settings=fast_settings(), base_url="http://127.0.0.1:9/v1", model="m")
+        first, second = backend.for_run(Stream(1, 1)), backend.for_run(Stream(2, 1))
+        assert first._rng_lock is not second._rng_lock
+
+
+class HandOverStream(Stream):
+    """A ``Stream`` whose ``random`` hands the interpreter to another thread
+    between reading its state and storing it, as an interpreter may between
+    any two bytecodes: unguarded concurrent draws then lose steps."""
+
+    __slots__ = ()
+    _pause = time.sleep  # the real one, taken before a test patches it
+
+    def random(self) -> float:
+        state = self._state
+        HandOverStream._pause(0)
+        self._state = state
+        return Stream.random(self)
+
 
 def closed_port() -> int:
     """A loopback port that nothing listens on."""
@@ -399,6 +448,24 @@ class TestTransport:
     def test_internationalised_host_is_accepted_when_built(self):
         backend = LlmBackend(settings=fast_settings(), base_url="https://b\u00fccher.example/v1", model="m")
         assert backend.base_url == "https://b\u00fccher.example/v1"
+
+    @pytest.mark.parametrize("base_url, request_line", [
+        ("http://b\u00fccher.example/v1", "POST http://xn--bcher-kva.example/v1/chat/completions HTTP/1.1"),
+        ("http://B\u00dcCHER.example:8080/v1", "POST http://xn--bcher-kva.example:8080/v1/chat/completions HTTP/1.1"),
+    ], ids=["host", "host-and-port"])
+    def test_internationalised_host_goes_through_a_proxy_idna_encoded(self, order_ctx, no_proxy_env,
+                                                                      base_url, request_line):
+        with FixtureServer(mode="oracle") as proxy:
+            no_proxy_env.setenv("HTTP_PROXY", proxy.base_url.removesuffix("/v1"))
+            decision = LlmBackend(settings=fast_settings(), base_url=base_url, model="m").decide(order_ctx)
+            assert proxy.request_lines == [request_line]
+        assert decision.rationale == "scripted oracle replay"
+
+    @pytest.mark.parametrize("host", ["\u00fc" * 64 + ".example", "b\ufffcx.example"],
+                             ids=["label-too-long", "prohibited-character"])
+    def test_host_that_idna_cannot_encode_is_rejected_when_built(self, host):
+        with pytest.raises(TransportError, match="cannot be IDNA-encoded"):
+            LlmBackend(settings=fast_settings(), base_url=f"http://{host}/v1", model="m")
 
     @pytest.mark.parametrize("api_key, authorization", [("test-key", "Bearer test-key"), ("cl\u00e9", "Bearer cl\u00e9"), ("", None)])
     def test_headers_and_body_bytes(self, order_ctx, api_key, authorization):

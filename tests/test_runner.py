@@ -166,8 +166,9 @@ class TestRunSimulation:
         imitation_a, jitter_a = derive_streams(123)
         imitation_b, _ = derive_streams(123)
         # jitter consumption must not perturb the imitation stream
-        _ = jitter_a.random(1000)
-        assert list(imitation_a.random(8)) == list(imitation_b.random(8))
+        for _ in range(1000):
+            jitter_a.random()
+        assert [imitation_a.random() for _ in range(8)] == [imitation_b.random() for _ in range(8)]
 
     def test_cumulative_payoff_diff_matches_logged_utilities(self, oracle):
         """Under ``cumulative`` utilities each imitation compares the two
