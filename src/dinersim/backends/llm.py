@@ -26,6 +26,7 @@ from pathlib import Path
 from string import Template
 from typing import Callable, Sequence, TypeVar
 
+from ..config_io import read_text
 from ..model import BackendConfig, MenuConfig, PunishmentMode, Strategy
 from ..streams import Stream
 from .base import (
@@ -129,7 +130,9 @@ def load_templates(template_dir: str | None = None) -> dict[DecisionKind, Templa
     templates = {}
     for kind, filename in TEMPLATE_FILES.items():
         if template_dir is not None:
-            text = (Path(template_dir) / filename).read_text(encoding="utf-8")
+            # With newlines translated, as the packaged templates are read.
+            text = read_text(Path(template_dir) / filename, "template")
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         else:
             text = (resources.files(__package__) / "templates" / filename).read_text(
                 encoding="utf-8"

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import reporting
 from .backends import RuleOracle, LlmBackend, BackendError
 from .backends.accuracy import build_scenario_suite, evaluate_accuracy, load_suite, save_suite
-from .config_io import load_config, save_config
+from .config_io import load_config, read_text, save_config, write_text
 from .model import (
     BackendConfig,
     ConfigError,
@@ -29,7 +29,6 @@ from .model import (
     validate_config,
 )
 from .reporting import (
-    EventLogError,
     census_series,
     convergence_stats,
     load_event_log,
@@ -55,13 +54,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+# The characters XML 1.0 forbids in a document: C0 controls other than
+# tab, LF and CR, and U+FFFE and U+FFFF.
+_NOT_XML = {chr(c) for c in range(32)} - {"\t", "\n", "\r"} | {"\ufffe", "\uffff"}
+
+
 def utf8_text(text: str) -> str:
-    """A string that can be written as UTF-8: a byte that is not UTF-8 in
-    an argument decodes to a lone surrogate, which cannot be."""
+    """A string that can be written as UTF-8 into an SVG: a byte that is not
+    UTF-8 in an argument decodes to a lone surrogate, which cannot be."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
         raise argparse.ArgumentTypeError(f"not UTF-8 text: {text!r}") from None
+    if _NOT_XML.intersection(text):
+        raise argparse.ArgumentTypeError(f"holds a character XML cannot hold: {text!r}")
     return text
 
 
@@ -208,15 +214,12 @@ def cmd_preset(args: argparse.Namespace) -> int:
 def read_seed_list(path: str) -> list[int]:
     """The seeds of a seed-list file, whitespace-separated, one per line.
 
-    Every seed is checked before any run starts: a token that is not an
-    integer, or a seed out of range, raises ``ConfigError`` naming its line.
+    Every seed is checked before any run starts: a byte that is not UTF-8,
+    a token that is not an integer, or a seed out of range, raises
+    ``ConfigError`` naming its line.
     """
     seeds = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"seed list {path} is not UTF-8 text") from exc
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(read_text(path, "seed list").splitlines(), start=1):
         for token in line.split():
             try:
                 seed = int(token)
@@ -244,8 +247,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     else:
         seeds = list(range(args.seeds))
     if not seeds:
-        print("error: no seeds to run", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no seeds to run")
 
     if args.config is not None:
         config = config_from_file(args.config, args.backend, seeds[0])
@@ -266,7 +268,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     write_batch_summary_csv(rows, out_dir / "batch_summary.csv")
     stats = convergence_stats(rows)
     text = json.dumps(stats, indent=2)
-    reporting.write_text(out_dir / "aggregate_stats.json", text + "\n")
+    write_text(out_dir / "aggregate_stats.json", text + "\n")
 
     completed = stats["runs"] - stats["aborted_runs"]
     print(f"{completed} runs completed, {stats['aborted_runs']} aborted -> {out_dir}")
@@ -286,7 +288,7 @@ def cmd_eval_backend(args: argparse.Namespace) -> int:
         save_suite(suite, args.save_suite)
     backend = make_backend(settings, args.trace_llm)
     report = evaluate_accuracy(backend, suite)
-    Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
 
     print(f"backend {report.backend_name}: {report.matched}/{report.total} "
           f"({report.accuracy:.1%}) overall")
@@ -304,11 +306,7 @@ def cmd_eval_backend(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        loaded = load_event_log(args.log)
-    except EventLogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    loaded = load_event_log(args.log)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_census_files(out_dir, loaded, args.title)

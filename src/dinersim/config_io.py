@@ -27,6 +27,42 @@ class ConfigFormatError(ConfigError):
     """The document is malformed (unknown keys, wrong types, bad enums)."""
 
 
+class InputError(ConfigFormatError):
+    """An input file at fault, with the file and line where the fault is."""
+
+    def __init__(self, what: str, path: str | Path, line: int, problem: str):
+        self.path = str(path)
+        self.line = line
+        super().__init__(f"{what} {path}, line {line}: {problem}")
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the file ``what`` at ``path``, for every file the
+    package reads; a byte that is not UTF-8 raises :class:`InputError`
+    naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(what, path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8 in one call, with no newline
+    translation, for every file the package writes. Text that does not
+    encode leaves no file; a failed write removes the partial file."""
+    if not isinstance(path, Path):  # Path(path) would parse a Path again
+        path = Path(path)
+    data = text.encode("utf-8")
+    try:
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except OSError:
+        path.unlink(missing_ok=True)
+        raise
+    return path
+
+
 @functools.cache
 def _fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
     """(name, resolved type hint, has a default) per field, in field order."""
@@ -110,17 +146,27 @@ def from_data(tp: Any, data: Any, where: str) -> Any:
 
 def save_data(value: Any, path: str | Path) -> None:
     """Write ``to_data(value)`` as indented JSON plus a trailing newline."""
-    Path(path).write_text(json.dumps(to_data(value), indent=2) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(to_data(value), indent=2) + "\n")
 
 
 def load_data(tp: Any, path: str | Path, where: str) -> Any:
-    """Read a JSON file as ``tp``; a missing or malformed file is a ConfigFormatError."""
+    """Read a JSON file as ``tp``; a missing or malformed file, or one that
+    repeats a key in an object, is a ConfigFormatError."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = read_text(path, f"{where} file")
     except FileNotFoundError as exc:
         raise ConfigFormatError(f"{where} file not found: {path}") from exc
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ConfigFormatError(f"{where} file {path} repeats the key {key!r} in one object")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigFormatError(f"{where} file {path} is not valid JSON: {exc}") from exc
     return from_data(tp, data, where)

@@ -18,7 +18,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config_io import config_to_dict
+from .config_io import InputError, config_to_dict, read_text, write_text
 from .model import (
     GroupRound,
     ImitationOutcome,
@@ -169,22 +169,6 @@ def event_log_lines(result: RunResult) -> Iterable[str]:
         yield f'{{"kind":"census","iteration":{iteration},"counts":{_counts_json(record.strategy_census)}}}'
 
 
-def write_text(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` as UTF-8 in one call, with no newline
-    translation. Text that does not encode leaves no file; a failed write
-    removes the partial file."""
-    if not isinstance(path, Path):  # Path(path) would parse a Path again
-        path = Path(path)
-    data = text.encode("utf-8")
-    try:
-        with open(path, "wb") as handle:
-            handle.write(data)
-    except OSError:
-        path.unlink(missing_ok=True)
-        raise
-    return path
-
-
 def write_event_log(result: RunResult, path: str | Path) -> Path:
     """Write the run's event log in one call; a failed write removes the partial file."""
     return write_text(path, "\n".join(event_log_lines(result)) + "\n")
@@ -197,13 +181,11 @@ class LoadedRun(Trajectory):
     records: list[IterationRecord]
 
 
-class EventLogError(ValueError):
+class EventLogError(InputError, ValueError):
     """An event log that cannot be read back, with the file and line at fault."""
 
     def __init__(self, path: str | Path, line: int, problem: str):
-        self.path = str(path)
-        self.line = line
-        super().__init__(f"event log {path}, line {line}: {problem}")
+        super().__init__("event log", path, line, problem)
 
 
 def _problem(exc: Exception) -> str:
@@ -356,13 +338,12 @@ def load_event_log(path: str | Path) -> LoadedRun:
     when it is homogeneous). ``OSError`` still means the file could not be
     read at all.
     """
-    data = Path(path).read_bytes()
     try:
         # Split at newlines only: str.splitlines would also split at a
         # U+2028 or U+0085 inside a JSON string.
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise EventLogError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
+        lines = read_text(path, "event log").split("\n")
+    except InputError as exc:
+        raise EventLogError(path, exc.line, "not UTF-8 text") from exc
     if not lines[-1]:
         lines.pop()  # what follows the last newline
     if not lines:

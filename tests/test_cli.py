@@ -245,6 +245,19 @@ class TestReplicate:
         assert not any(path.is_dir() for path in out.glob("*"))
 
 
+    @pytest.mark.parametrize("seeds", [["--seeds", "0"], ["--seed-list", "EMPTY"]])
+    def test_no_seeds_exits_two_and_writes_nothing(self, tmp_path, capsys, seeds):
+        empty = tmp_path / "seeds.txt"
+        empty.write_bytes(b"\n \n")
+        seeds = [str(empty) if flag == "EMPTY" else flag for flag in seeds]
+        out = tmp_path / "batch"
+        code = main(["replicate", "--combination", "1", "--punishment", "6:1",
+                     "--backend", "oracle", *seeds, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no seeds to run\n"
+        assert not out.exists()
+
+
 class TestEvalBackend:
     def test_oracle_reports_perfect_accuracy(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -385,6 +398,32 @@ class TestReport:
         assert exc_info.value.code == 2
         assert "--title: not UTF-8 text" in capsys.readouterr().err
         assert not rebuilt.exists()
+
+    @pytest.mark.parametrize("title", ["a\x01b", "\x00", "tab\x0bvertical", "\x1f", "a\ufffeb", "\uffff"],
+                             ids=["soh", "nul", "vertical-tab", "unit-separator", "u+fffe", "u+ffff"])
+    def test_title_that_xml_cannot_hold_exits_two_and_writes_nothing(
+        self, oracle_config_path, tmp_path, capsys, title
+    ):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(oracle_config_path),
+                     "--backend", "oracle", "--out", str(out)]) == 0
+        rebuilt = tmp_path / "rebuilt"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["report", "--log", str(out / "events.jsonl"), "--out", str(rebuilt), "--title", title])
+        assert exc_info.value.code == 2
+        assert "--title: holds a character XML cannot hold" in capsys.readouterr().err
+        assert not rebuilt.exists()
+
+    def test_title_with_tab_newline_and_markup_is_well_formed_svg(self, oracle_config_path, tmp_path):
+        from xml.dom import minidom
+
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(oracle_config_path),
+                     "--backend", "oracle", "--out", str(out)]) == 0
+        title = "a\tb\nc\rd <&> \u00e9\ud7ff\ufffd"
+        assert main(["report", "--log", str(out / "events.jsonl"), "--out", str(tmp_path / "rebuilt"),
+                     "--title", title]) == 0
+        minidom.parse(str(tmp_path / "rebuilt" / "trend.svg"))
 
     # The header of a run of two moralists that ran one iteration.
     HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r-s0", "seed": 0, "status": "converged",
@@ -556,6 +595,126 @@ class TestReport:
         code = main(["report", "--log", str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "rebuilt")])
         assert code == 1
+
+
+def put_byte_on_line_2(path: Path, byte: bytes = b"\xff") -> None:
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = byte + lines[1]
+    path.write_bytes(b"\n".join(lines))
+
+
+def llm_config_with_templates(tmp_path: Path) -> Path:
+    """A config whose LLM backend reads the packaged templates from a copy,
+    with a 0xff byte on line 2 of the order template."""
+    from dinersim.backends import llm
+
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    for filename in llm.TEMPLATE_FILES.values():
+        shipped = Path(llm.__file__).parent / "templates" / filename
+        (templates / filename).write_bytes(shipped.read_bytes())
+    put_byte_on_line_2(templates / "order.txt")
+    config = tmp_path / "config.json"
+    save_config(paper_preset(1, "6:1", seed=1, backend=BackendConfig(kind="llm", template_dir=str(templates))),
+                config)
+    return templates / "order.txt"
+
+
+class TestInputFiles:
+    """Every file the package reads goes through one reader: a byte that is
+    not UTF-8 is one ``error:`` line naming the file and its line, and exit 2."""
+
+    @pytest.mark.parametrize("name", ["config", "suite", "seed-list", "event-log", "template"])
+    def test_byte_that_is_not_utf8_exits_two_and_writes_nothing(
+        self, oracle_config_path, tmp_path, monkeypatch, capsys, name
+    ):
+        out = tmp_path / "out"
+        if name == "config":
+            bad = oracle_config_path
+            argv = ["simulate", "--config", str(bad), "--backend", "oracle", "--out", str(out)]
+        elif name == "suite":
+            bad = tmp_path / "suite.json"
+            assert main(["eval-backend", "--backend", "oracle", "--save-suite", str(bad),
+                         "--out", str(tmp_path / "first.json")]) == 0
+            argv = ["eval-backend", "--backend", "oracle", "--suite", str(bad), "--out", str(out)]
+        elif name == "seed-list":
+            bad = tmp_path / "seeds.txt"
+            bad.write_bytes(b"3\n14\n159\n")
+            argv = ["replicate", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
+                    "--seed-list", str(bad), "--out", str(out)]
+        elif name == "event-log":
+            assert main(["simulate", "--config", str(oracle_config_path), "--backend", "oracle",
+                         "--out", str(tmp_path / "sim")]) == 0
+            bad = tmp_path / "sim" / "events.jsonl"
+            argv = ["report", "--log", str(bad), "--out", str(out)]
+        else:
+            bad = llm_config_with_templates(tmp_path)
+            # The backend fails when it is built, so nothing is sent to the discard port.
+            monkeypatch.setenv("LLM_BASE_URL", "http://127.0.0.1:9/v1")
+            monkeypatch.setenv("LLM_MODEL", "m")
+            argv = ["simulate", "--config", str(tmp_path / "config.json"), "--backend", "llm",
+                    "--out", str(out)]
+        if name != "template":
+            put_byte_on_line_2(bad)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        what = {"config": "config file", "suite": "suite file", "seed-list": "seed list",
+                "event-log": "event log", "template": "template"}[name]
+        assert err == f"error: {what} {bad}, line 2: not UTF-8 text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval-backend"])
+    def test_duplicate_key_exits_two_and_writes_nothing(self, oracle_config_path, tmp_path, capsys, command):
+        if command == "simulate":
+            bad = oracle_config_path
+            text = bad.read_text().replace('"seed": 11\n', '"seed": 5,\n  "seed": 7\n', 1)
+            argv = ["simulate", "--config", str(bad), "--backend", "oracle"]
+            what, key = "config file", "seed"
+        else:
+            bad = tmp_path / "suite.json"
+            assert main(["eval-backend", "--backend", "oracle", "--save-suite", str(bad),
+                         "--out", str(tmp_path / "first.json")]) == 0
+            text = bad.read_text().replace('"iteration": 1,', '"iteration": 1, "iteration": 2,', 1)
+            argv = ["eval-backend", "--backend", "oracle", "--suite", str(bad)]
+            what, key = "suite file", "iteration"
+        assert text != bad.read_text()
+        bad.write_text(text)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {what} {bad} repeats the key {key!r} in one object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["preset-out", "save-suite", "eval-backend-out"])
+    def test_failed_write_exits_one_and_leaves_no_file(self, tmp_path, monkeypatch, capsys, name):
+        """A write that fails after some bytes reached the file leaves no file."""
+        import dinersim.config_io as config_io
+
+        target = tmp_path / "target.json"
+        argv = {
+            "preset-out": ["preset", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
+                           "--out", str(target)],
+            "save-suite": ["eval-backend", "--backend", "oracle", "--save-suite", str(target),
+                           "--out", str(tmp_path / "accuracy.json")],
+            "eval-backend-out": ["eval-backend", "--backend", "oracle", "--out", str(target)],
+        }[name]
+        real_open = open
+
+        def full_disk(path, mode):
+            handle = real_open(path, mode)
+
+            def write(data):
+                handle.raw.write(data[:10])
+                raise OSError("disk full")
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(config_io, "open", full_disk, raising=False)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert not target.exists()
 
 
 class TestCommandsAgree:

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import math
-import threading
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -189,21 +190,30 @@ class TestImitationStep:
         assert outcomes[0].payoff_diff == 1000.0
         assert outcomes[0].adopted
 
-    def test_sweep_holds_the_bit_generator_lock(self):
-        rng = np.random.default_rng(0)
-        group = make_group(["M", "P", "E", "R1"])
-        done = threading.Event()
+    def test_concurrent_sweeps_on_own_streams_match_serial_sweeps(self):
+        """Two threads, each sweeping its own population with its own stream,
+        give exactly the outcomes of the same sweeps run one after the other,
+        with the interpreter switching threads every microsecond."""
+        def sweeps(seed):
+            group = make_group(["M", "P", "E", "R1"] * 3)
+            rng = Stream(seed, 0)
+            outcomes = []
+            for sweep in range(150):
+                for i, agent in enumerate(group):
+                    agent.iteration_utility = float((sweep * 7 + i * 3) % 11)
+                outcomes.append(imitation_step(group, ImitationParams(beta=0.5), rng))
+            return outcomes, [agent.strategy for agent in group], rng.random()
 
-        def sweep():
-            imitation_step(group, ImitationParams(), rng)
-            done.set()
-
-        worker = threading.Thread(target=sweep)
-        with rng.bit_generator.lock:
-            worker.start()
-            assert not done.wait(0.2)  # waits while another thread holds the lock
-        worker.join(timeout=10)
-        assert not worker.is_alive() and done.is_set()
+        serial = [sweeps(seed) for seed in (1, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                concurrent = list(pool.map(sweeps, (1, 2), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial
+        assert serial[0] != serial[1]
 
     def test_same_seed_same_outcomes(self):
         def run(seed):

@@ -8,6 +8,7 @@ import threading
 import time
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +173,15 @@ class TestPromptRendering:
         templates = load_templates(str(tmp_path))
         with pytest.raises(PromptRenderError, match="made_up_thing"):
             render_prompt(order_ctx, templates)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_template_dir_newlines_read_as_the_packaged_ones(self, tmp_path, newline):
+        shipped = load_templates()
+        for filename in llm.TEMPLATE_FILES.values():
+            data = (Path(llm.__file__).parent / "templates" / filename).read_bytes()
+            (tmp_path / filename).write_bytes(data.replace(b"\n", newline))
+        loaded = load_templates(str(tmp_path))
+        assert {kind: t.template for kind, t in loaded.items()} == {kind: t.template for kind, t in shipped.items()}
 
 
 class TestLlmDecide:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dinersim.config_io as config_io
 import dinersim.reporting as reporting
 from dinersim.backends.base import DecisionBackend, TransportError
 from dinersim.backends.oracle import oracle_decide
@@ -308,7 +309,7 @@ class TestEventLog:
             handle.write = write
             return handle
 
-        monkeypatch.setattr(reporting, "open", full_disk, raising=False)
+        monkeypatch.setattr(config_io, "open", full_disk, raising=False)
         target = tmp_path / writer
         series = census_series(preset_run.initial_census, preset_run.records)
         write = {
@@ -338,7 +339,7 @@ class TestEventLog:
                 handle.write = write
             return handle
 
-        monkeypatch.setattr(reporting, "open", full_disk, raising=False)
+        monkeypatch.setattr(config_io, "open", full_disk, raising=False)
         out = tmp_path / "batch"
         code = main(["replicate", "--combination", "1", "--punishment", "6:1", "--backend", "oracle",
                      "--seeds", "2", "--out", str(out)])
