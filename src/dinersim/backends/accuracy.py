@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from ..config_io import load_data, save_data
-from ..model import DEFAULT_MENU, ConfigError, MealChoice, PunishmentMode, Strategy, STRATEGY_ORDER
+from ..config_io import InputError, load_data, save_data
+from ..model import DEFAULT_MENU, MealChoice, PunishmentMode, Strategy, STRATEGY_ORDER
 from .base import (
     BackendError,
     DecisionBackend,
@@ -194,8 +194,8 @@ def save_suite(suite: Sequence[Scenario], path: str | Path) -> None:
 
 
 def load_suite(path: str | Path) -> list[Scenario]:
-    """Read a saved suite; an empty one is a ConfigError, as it measures nothing."""
+    """Read a saved suite; an empty one is an InputError, as it measures nothing."""
     suite = list(load_data(tuple[Scenario, ...], path, "suite"))
     if not suite:
-        raise ConfigError(f"suite file {path} holds no scenarios")
+        raise InputError("suite file", path, None, "holds no scenarios")
     return suite

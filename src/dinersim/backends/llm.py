@@ -21,7 +21,6 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from importlib import resources
 from pathlib import Path
 from string import Template
 from typing import Callable, Sequence, TypeVar
@@ -126,18 +125,13 @@ _EVIDENCE = {
 
 
 def load_templates(template_dir: str | None = None) -> dict[DecisionKind, Template]:
-    """Load the four stage templates from a directory or the shipped defaults."""
+    """Load the four stage templates from a directory or the shipped
+    defaults, with CRLF and CR line ends read as LF."""
+    directory = Path(__file__).parent / "templates" if template_dir is None else Path(template_dir)
     templates = {}
     for kind, filename in TEMPLATE_FILES.items():
-        if template_dir is not None:
-            # With newlines translated, as the packaged templates are read.
-            text = read_text(Path(template_dir) / filename, "template")
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        else:
-            text = (resources.files(__package__) / "templates" / filename).read_text(
-                encoding="utf-8"
-            )
-        templates[kind] = Template(text)
+        text = read_text(directory / filename, "template")
+        templates[kind] = Template(text.replace("\r\n", "\n").replace("\r", "\n"))
     return templates
 
 

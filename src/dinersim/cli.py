@@ -18,7 +18,7 @@ from pathlib import Path
 from . import reporting
 from .backends import RuleOracle, LlmBackend, BackendError
 from .backends.accuracy import build_scenario_suite, evaluate_accuracy, load_suite, save_suite
-from .config_io import load_config, read_text, save_config, write_text
+from .config_io import InputError, load_config, read_text, save_config, write_text
 from .model import (
     BackendConfig,
     ConfigError,
@@ -29,6 +29,7 @@ from .model import (
     validate_config,
 )
 from .reporting import (
+    NOT_XML,
     census_series,
     convergence_stats,
     load_event_log,
@@ -54,11 +55,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-# The characters XML 1.0 forbids in a document: C0 controls other than
-# tab, LF and CR, and U+FFFE and U+FFFF.
-_NOT_XML = {chr(c) for c in range(32)} - {"\t", "\n", "\r"} | {"\ufffe", "\uffff"}
-
-
 def utf8_text(text: str) -> str:
     """A string that can be written as UTF-8 into an SVG: a byte that is not
     UTF-8 in an argument decodes to a lone surrogate, which cannot be."""
@@ -66,7 +62,7 @@ def utf8_text(text: str) -> str:
         text.encode("utf-8")
     except UnicodeEncodeError:
         raise argparse.ArgumentTypeError(f"not UTF-8 text: {text!r}") from None
-    if _NOT_XML.intersection(text):
+    if NOT_XML.intersection(text):
         raise argparse.ArgumentTypeError(f"holds a character XML cannot hold: {text!r}")
     return text
 
@@ -214,9 +210,9 @@ def cmd_preset(args: argparse.Namespace) -> int:
 def read_seed_list(path: str) -> list[int]:
     """The seeds of a seed-list file, whitespace-separated, one per line.
 
-    Every seed is checked before any run starts: a byte that is not UTF-8,
-    a token that is not an integer, or a seed out of range, raises
-    ``ConfigError`` naming its line.
+    Every seed is checked before any run starts: a missing file, a byte
+    that is not UTF-8, a token that is not an integer, or a seed out of
+    range, raises ``InputError``.
     """
     seeds = []
     for number, line in enumerate(read_text(path, "seed list").splitlines(), start=1):
@@ -224,13 +220,10 @@ def read_seed_list(path: str) -> list[int]:
             try:
                 seed = int(token)
             except ValueError:
-                raise ConfigError(
-                    f"seed list {path}, line {number}: {token!r} is not an integer"
-                ) from None
+                raise InputError("seed list", path, number, f"{token!r} is not an integer") from None
             if not seed_in_range(seed):
-                raise ConfigError(
-                    f"seed list {path}, line {number}: seed {seed} must fit in an "
-                    "unsigned 64-bit integer"
+                raise InputError(
+                    "seed list", path, number, f"seed {seed} must fit in an unsigned 64-bit integer"
                 )
             seeds.append(seed)
     return seeds

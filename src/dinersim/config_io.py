@@ -28,19 +28,25 @@ class ConfigFormatError(ConfigError):
 
 
 class InputError(ConfigFormatError):
-    """An input file at fault, with the file and line where the fault is."""
+    """An input file at fault, with the file, the line where the fault is
+    (None for the file as a whole) and the problem."""
 
-    def __init__(self, what: str, path: str | Path, line: int, problem: str):
+    def __init__(self, what: str, path: str | Path, line: int | None, problem: str):
         self.path = str(path)
         self.line = line
-        super().__init__(f"{what} {path}, line {line}: {problem}")
+        self.problem = problem
+        at = "" if line is None else f", line {line}"
+        super().__init__(f"{what} {path}{at}: {problem}")
 
 
 def read_text(path: str | Path, what: str) -> str:
     """The UTF-8 text of the file ``what`` at ``path``, for every file the
-    package reads; a byte that is not UTF-8 raises :class:`InputError`
-    naming its line."""
-    data = Path(path).read_bytes()
+    package reads; a missing file, or a byte that is not UTF-8, raises
+    :class:`InputError`."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise InputError(what, path, None, "not found") from exc
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -150,25 +156,24 @@ def save_data(value: Any, path: str | Path) -> None:
 
 
 def load_data(tp: Any, path: str | Path, where: str) -> Any:
-    """Read a JSON file as ``tp``; a missing or malformed file, or one that
-    repeats a key in an object, is a ConfigFormatError."""
-    try:
-        raw = read_text(path, f"{where} file")
-    except FileNotFoundError as exc:
-        raise ConfigFormatError(f"{where} file not found: {path}") from exc
+    """Read a JSON file as ``tp``; a missing file, a JSON syntax error or a
+    key repeated in one object is an InputError, and a bad field a
+    ConfigFormatError."""
+    what = f"{where} file"
+    raw = read_text(path, what)
 
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         data = {}
         for key, value in pairs:
             if key in data:
-                raise ConfigFormatError(f"{where} file {path} repeats the key {key!r} in one object")
+                raise InputError(what, path, None, f"repeats the key {key!r} in one object")
             data[key] = value
         return data
 
     try:
         data = json.loads(raw, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise ConfigFormatError(f"{where} file {path} is not valid JSON: {exc}") from exc
+        raise InputError(what, path, exc.lineno, f"not valid JSON ({exc.msg})") from exc
     return from_data(tp, data, where)
 
 

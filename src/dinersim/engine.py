@@ -12,7 +12,6 @@ defector, non-punisher, or meta-non-punisher, never more than one, and each
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from .backends.base import (
     SchemaError,
     check_decision,
 )
-from .config_io import to_data
 from .model import (
     AgentState,
     GroupRound,
@@ -335,15 +333,15 @@ _last_config: tuple = (None, None, None, None, None)
 def _config_key(
     backend: DecisionBackend, menu: MenuConfig, params: PunishmentParams, error_policy: str
 ) -> tuple[type, str]:
-    """The backend's class and the config values as the event log writes
-    them. Equality would not do: 0.0 == -0.0 and 10 == 10.0, but their costs
-    and bills serialise apart."""
+    """The backend's class and the ``repr`` of the config values, which
+    tells them apart as the event log does. Equality would not do: 0.0 ==
+    -0.0 and 10 == 10.0, but their costs and bills serialise apart."""
     global _last_config
     cls = type(backend)
     last = _last_config
     if last[0] is cls and last[1] is menu and last[2] is params and last[3] is error_policy:
         return last[4]
-    key = (cls, json.dumps(to_data([menu, params, error_policy])))
+    key = (cls, repr((menu, params, error_policy)))
     _last_config = (cls, menu, params, error_policy, key)
     return key
 

@@ -44,6 +44,11 @@ STRATEGY_COLORS: dict[Strategy, str] = {
 }
 
 
+# The characters XML 1.0 forbids in a document, which no SVG title can hold:
+# C0 controls other than tab, LF and CR, and U+FFFE and U+FFFF.
+NOT_XML = frozenset({chr(c) for c in range(32)} - {"\t", "\n", "\r"} | {"\ufffe", "\uffff"})
+
+
 class EmptySeries(ValueError):
     """A chart needs at least one census row."""
 
@@ -184,7 +189,7 @@ class LoadedRun(Trajectory):
 class EventLogError(InputError, ValueError):
     """An event log that cannot be read back, with the file and line at fault."""
 
-    def __init__(self, path: str | Path, line: int, problem: str):
+    def __init__(self, path: str | Path, line: int | None, problem: str):
         super().__init__("event log", path, line, problem)
 
 
@@ -208,6 +213,9 @@ def _header(item: dict) -> tuple[RunHandle, dict[Strategy, int]]:
         raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
     if not run_id.endswith(f"-s{seed}"):
         raise ValueError(f"run_id {run_id!r} does not end in the seed's suffix '-s{seed}'")
+    if NOT_XML.intersection(run_id):
+        # The default chart title holds the run_id.
+        raise ValueError(f"run_id {run_id!r} holds a character XML cannot hold")
     config_seed = item["config"]["seed"]
     if type(config_seed) is not int or config_seed != seed:
         raise ValueError(f"seed {seed} differs from the config's seed {config_seed!r}")
@@ -308,9 +316,10 @@ def load_event_log(path: str | Path) -> LoadedRun:
     one census line labelled M, P, E, R1.
     Each punishment line goes to the group its punisher ordered in, and the
     utilities line is split by each group's orders. Raises
-    :class:`EventLogError` for a log it cannot read back: an empty file, a
-    line that is not UTF-8 JSON, a wrong header or schema, a header
-    ``run_id`` that is not a string or does not end in ``-s<seed>``,
+    :class:`EventLogError` for a log it cannot read back: a missing or
+    empty file, a line that is not UTF-8 JSON, a wrong header or schema, a
+    header ``run_id`` that is not a string, does not end in ``-s<seed>`` or
+    holds a character XML cannot hold,
     ``seed`` that is not an integer in the unsigned 64-bit range or differs
     from the config's ``seed``,
     ``iterations_executed`` that is not a
@@ -335,15 +344,15 @@ def load_event_log(path: str | Path) -> LoadedRun:
     before its census line, iterations other than exactly 1 to the
     header's ``iterations_executed``, or a ``status`` other than
     ``aborted`` that disagrees with the last census (``converged`` exactly
-    when it is homogeneous). ``OSError`` still means the file could not be
-    read at all.
+    when it is homogeneous). Any other ``OSError`` (a directory, a file it
+    may not read) is raised as it is.
     """
     try:
         # Split at newlines only: str.splitlines would also split at a
         # U+2028 or U+0085 inside a JSON string.
         lines = read_text(path, "event log").split("\n")
     except InputError as exc:
-        raise EventLogError(path, exc.line, "not UTF-8 text") from exc
+        raise EventLogError(path, exc.line, exc.problem) from exc
     if not lines[-1]:
         lines.pop()  # what follows the last newline
     if not lines:

@@ -560,6 +560,9 @@ class TestReport:
          "line 1", "seed 0 differs from the config's seed 99"),
         (HEADER.replace('"run_id": "r-s0"', '"run_id": "r-s7"').encode(),
          "line 1", "run_id 'r-s7' does not end in the seed's suffix '-s0'"),
+        # The default chart title holds the run_id.
+        (HEADER.replace('"run_id": "r-s0"', '"run_id": "r\\u0001-s0"').encode(),
+         "line 1", "run_id 'r\\x01-s0' holds a character XML cannot hold"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
@@ -575,7 +578,7 @@ class TestReport:
             "meal-payoff-key-renamed", "meal-payoff-key-dropped", "meal-payoffs-not-in-seat-order",
             "run-id-not-string", "seed-out-of-range", "iterations-executed-negative", "status-running",
             "completed-but-homogeneous", "converged-but-mixed", "seed-differs-from-config",
-            "run-id-suffix-differs-from-seed"])
+            "run-id-suffix-differs-from-seed", "run-id-not-xml"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)
@@ -590,11 +593,6 @@ class TestReport:
         log = tmp_path / "events.jsonl"
         log.write_bytes(self.HEADER.encode() + b"\n" + self.ITERATION_1)
         assert main(["report", "--log", str(log), "--out", str(tmp_path / "rebuilt")]) == 0
-
-    def test_missing_log_is_io_error(self, tmp_path):
-        code = main(["report", "--log", str(tmp_path / "absent.jsonl"),
-                     "--out", str(tmp_path / "rebuilt")])
-        assert code == 1
 
 
 def put_byte_on_line_2(path: Path, byte: bytes = b"\xff") -> None:
@@ -621,14 +619,18 @@ def llm_config_with_templates(tmp_path: Path) -> Path:
 
 
 class TestInputFiles:
-    """Every file the package reads goes through one reader: a byte that is
-    not UTF-8 is one ``error:`` line naming the file and its line, and exit 2."""
+    """Every file the package reads goes through one reader: a missing file,
+    or a byte that is not UTF-8, is one ``error:`` line naming the file, and
+    exit 2."""
 
-    @pytest.mark.parametrize("name", ["config", "suite", "seed-list", "event-log", "template"])
-    def test_byte_that_is_not_utf8_exits_two_and_writes_nothing(
-        self, oracle_config_path, tmp_path, monkeypatch, capsys, name
-    ):
-        out = tmp_path / "out"
+    NAMES = ["config", "suite", "seed-list", "event-log", "template"]
+    WHAT = {"config": "config file", "suite": "suite file", "seed-list": "seed list",
+            "event-log": "event log", "template": "template"}
+
+    @staticmethod
+    def input_file(name, oracle_config_path, tmp_path, monkeypatch, out):
+        """The input file of kind ``name`` and a command line that reads it
+        and writes ``out``; a template has a 0xff byte on line 2 already."""
         if name == "config":
             bad = oracle_config_path
             argv = ["simulate", "--config", str(bad), "--backend", "oracle", "--out", str(out)]
@@ -654,14 +656,44 @@ class TestInputFiles:
             monkeypatch.setenv("LLM_MODEL", "m")
             argv = ["simulate", "--config", str(tmp_path / "config.json"), "--backend", "llm",
                     "--out", str(out)]
+        return bad, argv
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_byte_that_is_not_utf8_exits_two_and_writes_nothing(
+        self, oracle_config_path, tmp_path, monkeypatch, capsys, name
+    ):
+        out = tmp_path / "out"
+        bad, argv = self.input_file(name, oracle_config_path, tmp_path, monkeypatch, out)
         if name != "template":
             put_byte_on_line_2(bad)
         capsys.readouterr()
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        what = {"config": "config file", "suite": "suite file", "seed-list": "seed list",
-                "event-log": "event log", "template": "template"}[name]
-        assert err == f"error: {what} {bad}, line 2: not UTF-8 text\n"
+        assert capsys.readouterr().err == f"error: {self.WHAT[name]} {bad}, line 2: not UTF-8 text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_missing_file_exits_two_and_writes_nothing(
+        self, oracle_config_path, tmp_path, monkeypatch, capsys, name
+    ):
+        out = tmp_path / "out"
+        missing, argv = self.input_file(name, oracle_config_path, tmp_path, monkeypatch, out)
+        missing.unlink()
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {self.WHAT[name]} {missing}: not found\n"
+        assert not out.exists()
+
+    def test_json_syntax_error_names_its_line(self, oracle_config_path, tmp_path, capsys):
+        lines = oracle_config_path.read_text().split("\n")
+        lines[2] = "!" + lines[2]
+        oracle_config_path.write_text("\n".join(lines))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(oracle_config_path), "--backend", "oracle",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {oracle_config_path}, line 3: not valid JSON "
+            "(Expecting value)\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "eval-backend"])
@@ -683,7 +715,7 @@ class TestInputFiles:
         capsys.readouterr()
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {what} {bad} repeats the key {key!r} in one object\n"
+        assert capsys.readouterr().err == f"error: {what} {bad}: repeats the key {key!r} in one object\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["preset-out", "save-suite", "eval-backend-out"])

@@ -27,6 +27,7 @@ from dinersim.backends.base import (
 from dinersim.backends import llm
 from dinersim.backends.llm import LlmBackend, load_templates, parse_reply, render_prompt
 from dinersim.backends.oracle import oracle_decide
+from dinersim.config_io import read_text
 from dinersim.model import BackendConfig, MealChoice, PunishmentMode, paper_preset
 from dinersim.runner import run_simulation
 from dinersim.streams import Stream
@@ -182,6 +183,17 @@ class TestPromptRendering:
             (tmp_path / filename).write_bytes(data.replace(b"\n", newline))
         loaded = load_templates(str(tmp_path))
         assert {kind: t.template for kind, t in loaded.items()} == {kind: t.template for kind, t in shipped.items()}
+
+    def test_packaged_templates_are_read_through_the_package_reader(self, monkeypatch):
+        calls = []
+
+        def counting_read_text(path, what):
+            calls.append((Path(path).name, what))
+            return read_text(path, what)
+
+        monkeypatch.setattr(llm, "read_text", counting_read_text)
+        LlmBackend(base_url="http://127.0.0.1:9/v1", model="m")
+        assert sorted(calls) == sorted((name, "template") for name in llm.TEMPLATE_FILES.values())
 
 
 class TestLlmDecide:
