@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import logging
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,8 +49,19 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 
 
+# An integer as written in ASCII: ``int`` alone also takes "+5", "1_000",
+# surrounding spaces and the digits of other scripts.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -81,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run one simulation from a config file")
     simulate.add_argument("--config", required=True, help="path to a JSON config file")
     simulate.add_argument("--backend", required=True, choices=["oracle", "llm"])
-    simulate.add_argument("--seed", type=int, default=None, help="override the config seed")
+    simulate.add_argument("--seed", type=integer, default=None, help="override the config seed")
     simulate.add_argument("--out", required=True, help="output directory")
     simulate.add_argument("--early-stop", action="store_true",
                           help="stop once the census becomes homogeneous")
@@ -90,16 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     preset = sub.add_parser("preset", help="write one of the built-in experiment configs")
-    preset.add_argument("--combination", required=True, type=int, choices=[1, 2])
+    preset.add_argument("--combination", required=True, type=integer, choices=[1, 2])
     preset.add_argument("--punishment", required=True, choices=["none", "3:1", "6:1"])
-    preset.add_argument("--seed", type=int, default=1)
+    preset.add_argument("--seed", type=integer, default=1)
     preset.add_argument("--backend", choices=["oracle", "llm"], default="llm")
     preset.add_argument("--out", required=True, help="where to write the config file")
     preset.set_defaults(func=cmd_preset)
 
     replicate = sub.add_parser("replicate",
                                help="run a seeded replication batch of a preset or a config file")
-    replicate.add_argument("--combination", type=int, choices=[1, 2],
+    replicate.add_argument("--combination", type=integer, choices=[1, 2],
                            help="preset to run, with --punishment (or give --config)")
     replicate.add_argument("--punishment", choices=["none", "3:1", "6:1"])
     replicate.add_argument("--config", default=None,
@@ -107,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "its seed is replaced by each batch seed")
     replicate.add_argument("--backend", required=True, choices=["oracle", "llm"])
     seeds = replicate.add_mutually_exclusive_group(required=True)
-    seeds.add_argument("--seeds", type=int, help="run seeds 0..N-1")
+    seeds.add_argument("--seeds", type=integer, help="run seeds 0..N-1")
     seeds.add_argument("--seed-list", help="file with one integer seed per line")
     replicate.add_argument("--out", required=True, help="output directory")
     replicate.add_argument("--jobs", type=positive_int, default=1,
@@ -215,10 +227,10 @@ def read_seed_list(path: str) -> list[int]:
     range, raises ``InputError``.
     """
     seeds = []
-    for number, line in enumerate(read_text(path, "seed list").splitlines(), start=1):
+    for number, line in enumerate(read_text(path, "seed list").split("\n"), start=1):
         for token in line.split():
             try:
-                seed = int(token)
+                seed = integer(token)
             except ValueError:
                 raise InputError("seed list", path, number, f"{token!r} is not an integer") from None
             if not seed_in_range(seed):

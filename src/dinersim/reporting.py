@@ -208,7 +208,7 @@ def _header(item: dict) -> tuple[RunHandle, dict[Strategy, int]]:
         raise ValueError("expected the header line first")
     if item["schema"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported event log schema {item['schema']!r}")
-    run_id, seed = _string(item, "run_id"), item["seed"]
+    run_id, seed = _typed(item, "run_id", (str,)), item["seed"]
     if type(seed) is not int or not seed_in_range(seed):
         raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
     if not run_id.endswith(f"-s{seed}"):
@@ -246,18 +246,13 @@ def _decode(line: str):
     return item if end == len(line) else json.loads(line)
 
 
-def _string(item: dict, key: str) -> str:
+def _typed(item: dict, key: str, types=_NUMBER_TYPES):
+    """``item[key]``, whose exact type must be one of ``types``: by default
+    an ``int`` or a ``float``, not a bool."""
     value = item[key]
-    if type(value) is not str:
-        raise ValueError(f"{key} must be a string, not {value!r}")
-    return value
-
-
-def _number(item: dict, key: str) -> int | float:
-    """``item[key]``, which must be an ``int`` or a ``float`` (not a bool)."""
-    value = item[key]
-    if type(value) not in _NUMBER_TYPES:
-        raise ValueError(f"{key} must be a number, not {value!r}")
+    if type(value) not in types:
+        what = "a number" if types is _NUMBER_TYPES else "a string"
+        raise ValueError(f"{key} must be {what}, not {value!r}")
     return value
 
 
@@ -273,7 +268,7 @@ def _numbers(item: dict, key: str) -> dict:
 def _imitation(item: dict) -> ImitationOutcome:
     """The outcome of an imitation line, whose ``adopted`` must be what its
     draw and probability give."""
-    probability, draw, adopted = _number(item, "probability"), _number(item, "uniform_draw"), item["adopted"]
+    probability, draw, adopted = _typed(item, "probability"), _typed(item, "uniform_draw"), item["adopted"]
     if not 0 <= probability <= 1:
         raise ValueError(f"probability must be in [0, 1], not {probability!r}")
     if not 0 <= draw < 1:
@@ -285,7 +280,7 @@ def _imitation(item: dict) -> ImitationOutcome:
             f"adopted is {_scalar(adopted)}, but uniform_draw < probability is {_scalar(not adopted)}"
         )
     return ImitationOutcome(
-        item["focal"], item["role_model"], _number(item, "payoff_diff"), probability, draw, adopted
+        item["focal"], item["role_model"], _typed(item, "payoff_diff"), probability, draw, adopted
     )
 
 
@@ -301,51 +296,33 @@ _STRATEGIES = {s.value: s for s in Strategy}
 _MEALS = {m.value: m for m in MealChoice}
 _LEVELS = {level.value: level for level in PunishmentLevel}
 _STATUSES = {status.value: status for status in RunStatus}
-# Line kinds in the order an iteration's lines must come.
-_KINDS = ("orders", "punishment", "utilities", "imitation", "census")
-_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
+# The line kinds that may follow each kind. An iteration is its orders lines,
+# its punishment lines, one utilities line, its imitation lines and one census
+# line; the log ends after the header or a census line.
+_FOLLOWS = {
+    "header": ("orders",),
+    "orders": ("orders", "punishment", "utilities"),
+    "punishment": ("punishment", "utilities"),
+    "utilities": ("imitation", "census"),
+    "imitation": ("imitation", "census"),
+    "census": ("orders",),
+}
 
 
 def load_event_log(path: str | Path) -> LoadedRun:
     """Rebuild IterationRecords from a log file, losslessly.
 
-    Reads the lines once, in the canonical order that
-    :func:`event_log_lines` writes: per iteration, the orders lines,
-    the punishment lines in group order, one utilities line keyed in seat
-    order, one imitation line per agent that ordered (in any order), then
-    one census line labelled M, P, E, R1.
     Each punishment line goes to the group its punisher ordered in, and the
     utilities line is split by each group's orders. Raises
-    :class:`EventLogError` for a log it cannot read back: a missing or
-    empty file, a line that is not UTF-8 JSON, a wrong header or schema, a
-    header ``run_id`` that is not a string, does not end in ``-s<seed>`` or
-    holds a character XML cannot hold,
-    ``seed`` that is not an integer in the unsigned 64-bit range or differs
-    from the config's ``seed``,
-    ``iterations_executed`` that is not a
-    non-negative integer or ``status`` that is not a :class:`RunStatus`
-    value, a missing key, a
-    bad value (such as a census that is not counts of agents or whose total
-    differs from the header's initial census, an iteration that is not an
-    ``int``, a ``group`` or ``location`` that is not a string, a bill,
-    meal payoff, cost, utility, ``payoff_diff``, ``probability`` or
-    ``uniform_draw`` that is not an ``int`` or a ``float``, a
-    ``probability`` outside [0, 1] or a ``uniform_draw`` outside [0, 1),
-    or an ``adopted`` that is not the bool ``uniform_draw < probability``),
-    an unknown kind, a line out of the canonical order,
-    iterations that do not strictly ascend, an agent ordering in two groups
-    of one iteration, an orders line whose ``meal_payoffs`` keys differ
-    from its ``choices`` keys or their seat order, a punisher and target
-    who did not order in one group,
-    a utilities line whose keys differ from the iteration's orders or their
-    seat order, an imitation line whose focal agent did not order or already
-    imitated or whose role model is not another agent that ordered, an
-    agent that ordered but has no imitation line, an iteration cut off
-    before its census line, iterations other than exactly 1 to the
-    header's ``iterations_executed``, or a ``status`` other than
-    ``aborted`` that disagrees with the last census (``converged`` exactly
-    when it is homogeneous). Any other ``OSError`` (a directory, a file it
-    may not read) is raised as it is.
+    :class:`EventLogError`, naming the first line at fault, for a log that
+    :func:`event_log_lines` cannot have written (README, "Event log schema"):
+    a missing or empty file; a line that is not UTF-8 or not one JSON value;
+    a bad header; a kind that may not follow the line before (``_FOLLOWS``)
+    or an ``iteration`` other than the one due; a missing key, or a value of
+    the wrong type or out of range; agents that do not match the iteration's
+    orders; or a log cut before a census line, or whose iteration count or
+    ``status`` differs from the header's. Any other ``OSError`` (a
+    directory, a file it may not read) is raised as it is.
     """
     try:
         # Split at newlines only: str.splitlines would also split at a
@@ -355,52 +332,33 @@ def load_event_log(path: str | Path) -> LoadedRun:
         raise EventLogError(path, exc.line, exc.problem) from exc
     if not lines[-1]:
         lines.pop()  # what follows the last newline
-    if not lines:
-        raise EventLogError(path, 1, "empty file, expected a header line")
-    malformed = (KeyError, TypeError, AttributeError, ValueError)
+    number = 1
     try:
+        if not lines:
+            raise ValueError("empty file, expected a header line")
         handle, initial_census = _header(_decode(lines[0]))
-    except malformed as exc:
-        raise EventLogError(path, 1, _problem(exc)) from exc
-
-    population = sum(initial_census.values())
-    records: list[IterationRecord] = []
-    current = None  # the iteration being read, until its census line
-    closed = None  # the last iteration a census line closed
-    for number, line in enumerate(lines[1:], start=2):
-        try:
+        population = sum(initial_census.values())
+        records: list[IterationRecord] = []
+        previous, iteration = "header", 0  # the kind and iteration of the line before
+        for number, line in enumerate(lines[1:], start=2):
             item = _decode(line)
             kind = item["kind"]
+            if kind not in _FOLLOWS[previous]:
+                if type(kind) is not str or kind not in _FOLLOWS:
+                    raise ValueError(f"unknown event kind {kind!r}")
+                of = f" of iteration {iteration}" if previous != "header" else ""
+                raise ValueError(f"{kind} after the {previous} line{of}")
             iteration = item["iteration"]
-            rank = _RANK.get(kind) if type(kind) is str else None
-            if rank is None:
-                raise ValueError(f"unknown event kind {kind!r}")
             if type(iteration) is not int:
                 raise ValueError(f"iteration must be an integer, not {iteration!r}")
-            if current is None:
-                if closed is not None and iteration <= closed:
-                    raise ValueError(
-                        f"{kind} line of iteration {iteration} after the census line of iteration {closed}"
-                    )
-                current = iteration
-                reached = punished = 0  # rank of the last line, group of the last punishment
-                # Per group: GroupRound fields and its events; each agent's group.
-                groups: list[tuple[tuple, list[PunishmentEvent]]] = []
-                group_of: dict[str, int] = {}
-                imitation: dict[str, ImitationOutcome] = {}  # by focal agent
-            elif iteration != current:
-                raise ValueError(f"iteration {current} has no census line")
-            if rank < reached:
-                raise ValueError(f"{kind} after the {_KINDS[reached]} line of iteration {iteration}")
-            if rank == reached == 2:
-                raise ValueError(f"second utilities line of iteration {iteration}")
-            if rank > 2 > reached:
-                raise ValueError(f"{kind} before the utilities line of iteration {iteration}")
-            reached = rank
+            if iteration != len(records) + 1:
+                raise ValueError(
+                    f"{kind} line of iteration {iteration} where iteration {len(records) + 1} is due"
+                )
 
             # By frequency: an oracle log of eight agents has 80 imitation
             # lines in about 139.
-            if rank == 3:
+            if kind == "imitation":
                 outcome = _imitation(item)
                 focal, role_model = outcome.focal_id, outcome.role_model_id
                 if focal not in group_of:
@@ -412,10 +370,16 @@ def load_event_log(path: str | Path) -> LoadedRun:
                         f"role model {role_model!r} is not another agent that ordered in iteration {iteration}"
                     )
                 imitation[focal] = outcome
-            elif rank == 0:
-                group_id, location = _string(item, "group"), _string(item, "location")
+            elif kind == "orders":
+                if previous != "orders":  # the iteration's first line
+                    punished = 0  # the group of the last punishment line
+                    # Per group: GroupRound fields and its events; each agent's group.
+                    groups: list[tuple[tuple, list[PunishmentEvent]]] = []
+                    group_of: dict[str, int] = {}
+                    imitation: dict[str, ImitationOutcome] = {}  # by focal agent
+                group_id, location = _typed(item, "group", (str,)), _typed(item, "location", (str,))
                 orders = {a: _member(_MEALS, MealChoice, c) for a, c in item["choices"].items()}
-                bill_total, payoffs = _number(item, "bill_total"), _numbers(item, "meal_payoffs")
+                bill_total, payoffs = _typed(item, "bill_total"), _numbers(item, "meal_payoffs")
                 where = f"of group {group_id!r} in iteration {iteration}"
                 if payoffs.keys() != orders.keys():
                     raise ValueError(f"meal_payoffs keys differ from the choices {where}")
@@ -426,14 +390,14 @@ def load_event_log(path: str | Path) -> LoadedRun:
                         raise ValueError(f"agent {agent_id!r} orders in two groups of iteration {iteration}")
                     group_of[agent_id] = len(groups)
                 groups.append(((group_id, location, orders, bill_total, payoffs), []))
-            elif rank == 1:
+            elif kind == "punishment":
                 event = PunishmentEvent(
                     iteration,
                     item["punisher"],
                     item["target"],
                     _member(_LEVELS, PunishmentLevel, item["level"]),
-                    _number(item, "cost_to_punisher"),
-                    _number(item, "cost_to_target"),
+                    _typed(item, "cost_to_punisher"),
+                    _typed(item, "cost_to_target"),
                 )
                 group = group_of.get(event.punisher_id)
                 if group is None or group_of.get(event.target_id) != group:
@@ -448,7 +412,7 @@ def load_event_log(path: str | Path) -> LoadedRun:
                     )
                 punished = group
                 groups[group][1].append(event)
-            elif rank == 2:
+            elif kind == "utilities":
                 utilities = _numbers(item, "values")
                 if utilities.keys() != group_of.keys():
                     raise ValueError(f"utilities keys differ from the orders of iteration {iteration}")
@@ -460,7 +424,7 @@ def load_event_log(path: str | Path) -> LoadedRun:
                     raise ValueError(f"census labels must be M, P, E, R1 in that order, not {list(counts)}")
                 if len(imitation) != len(group_of):
                     missing = next(a for a in group_of if a not in imitation)
-                    raise ValueError(f"no imitation line for agent {missing!r} in iteration {current}")
+                    raise ValueError(f"no imitation line for agent {missing!r} in iteration {iteration}")
                 census = _census(counts)
                 if sum(census.values()) != population:
                     raise ValueError(
@@ -469,7 +433,7 @@ def load_event_log(path: str | Path) -> LoadedRun:
                     )
                 records.append(
                     IterationRecord(
-                        current,
+                        iteration,
                         tuple(
                             GroupRound(*fields, tuple(events), {a: utilities[a] for a in fields[2]})
                             for fields, events in groups
@@ -478,22 +442,19 @@ def load_event_log(path: str | Path) -> LoadedRun:
                         census,
                     )
                 )
-                closed, current = current, None
-        except malformed as exc:
-            raise EventLogError(path, number, _problem(exc)) from exc
-    if current is not None:
-        raise EventLogError(path, len(lines), f"iteration {current} has no census line")
-    executed = handle.iterations_executed
-    if [r.iteration for r in records] != list(range(1, executed + 1)):
-        raise EventLogError(
-            path, len(lines), f"iterations are not 1..iterations_executed ({executed} in the header)"
-        )
-    loaded = LoadedRun(handle, initial_census, records)
-    ended = RunStatus.CONVERGED if homogeneous(loaded.final_census) else RunStatus.COMPLETED
-    if handle.status not in (RunStatus.ABORTED, ended):
-        raise EventLogError(
-            path, len(lines), f"status is {handle.status.value}, but the last census says {ended.value}"
-        )
+            previous = kind
+
+        if len(records) < iteration:
+            raise ValueError(f"iteration {iteration} has no census line")
+        executed = handle.iterations_executed
+        if len(records) != executed:
+            raise ValueError(f"iterations are not 1..iterations_executed ({executed} in the header)")
+        loaded = LoadedRun(handle, initial_census, records)
+        ended = RunStatus.CONVERGED if homogeneous(loaded.final_census) else RunStatus.COMPLETED
+        if handle.status not in (RunStatus.ABORTED, ended):
+            raise ValueError(f"status is {handle.status.value}, but the last census says {ended.value}")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise EventLogError(path, number, _problem(exc)) from exc
     return loaded
 
 

@@ -233,6 +233,12 @@ class TestReplicate:
         (b"3\nabc\n", "line 2: 'abc' is not an integer"),
         (b"3\n14\n-5\n", "line 3: seed -5 must fit"),
         (b"3\n\xff\n", "not UTF-8 text"),
+        # int() takes each of these; a seed is ASCII digits after an optional minus sign.
+        (b"1_000\n", "line 1: '1_000' is not an integer"),
+        (b"3\n+5\n", "line 2: '+5' is not an integer"),
+        ("3 \uff17\n".encode(), "line 1: '\uff17' is not an integer"),
+        # Lines end at \n only, as in an event log: U+2028 separates tokens.
+        ("3\u2028x\n".encode(), "line 1: 'x' is not an integer"),
     ])
     def test_bad_seed_list_runs_nothing(self, tmp_path, capsys, content, problem):
         seeds = tmp_path / "seeds.txt"
@@ -244,6 +250,21 @@ class TestReplicate:
         assert problem in capsys.readouterr().err
         assert not any(path.is_dir() for path in out.glob("*"))
 
+    @pytest.mark.parametrize("command", [
+        ["replicate", "--combination", "1", "--punishment", "6:1", "--backend", "oracle", "--seeds", "\uff17"],
+        ["simulate", "--config", "CONFIG", "--backend", "oracle", "--seed", "\uff17"],
+        ["preset", "--combination", "1", "--punishment", "6:1", "--seed", "+5"],
+    ], ids=["replicate-seeds", "simulate-seed", "preset-seed"])
+    def test_seed_option_not_ascii_digits_exits_two_and_writes_nothing(
+        self, oracle_config_path, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out"
+        command = [str(oracle_config_path) if arg == "CONFIG" else arg for arg in command]
+        with pytest.raises(SystemExit) as exc_info:
+            main([*command, "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", [["--seeds", "0"], ["--seed-list", "EMPTY"]])
     def test_no_seeds_exits_two_and_writes_nothing(self, tmp_path, capsys, seeds):
@@ -469,15 +490,15 @@ class TestReport:
          + SCOLD.replace(b'"a1"', b'"a3"') % b"a4" + SCOLD % b"a2",
          "line 5", "punishment in group 'g1' after one in group 'g2' of iteration 1"),
         (HEADER.encode() + b"\n" + orders_line("g1", "a1") + CENSUS,
-         "line 3", "census before the utilities line of iteration 1"),
+         "line 3", "census after the orders line of iteration 1"),
         (HEADER.encode() + b"\n" + orders_line("g1", "a1") + UTILITIES + UTILITIES,
-         "line 4", "second utilities line of iteration 1"),
+         "line 4", "utilities after the utilities line of iteration 1"),
         (HEADER.encode() + b"\n" + orders_line("g1", "a1") + imitate_line("a1", "a2") + UTILITIES + CENSUS,
-         "line 3", "imitation before the utilities line of iteration 1"),
+         "line 3", "imitation after the orders line of iteration 1"),
         (HEADER.encode() + b"\n" + ITERATION_1 + CENSUS,
-         "line 7", "census line of iteration 1 after the census line of iteration 1"),
+         "line 7", "census after the census line of iteration 1"),
         (HEADER.encode() + b"\n" + ITERATION_2 + ITERATION_1,
-         "line 7", "orders line of iteration 1 after the census line of iteration 2"),
+         "line 2", "orders line of iteration 2 where iteration 1 is due"),
         (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2")
          + b'{"kind": "utilities", "iteration": 1, "values": {"a2": 0.5, "a1": 0.5}}\n',
          "line 3", "utilities keys are not in the seat order of iteration 1"),
@@ -491,7 +512,7 @@ class TestReport:
          "line 11", "iterations are not 1..iterations_executed (3 in the header)"),
         (RAN_3, "line 1", "iterations are not 1..iterations_executed (3 in the header)"),
         (RAN_3 + ITERATION_1 + ITERATION_3,
-         "line 11", "iterations are not 1..iterations_executed (3 in the header)"),
+         "line 7", "orders line of iteration 3 where iteration 2 is due"),
         (HEADER.encode() + b"\n" + ITERATION_1.replace(b'"M": 2', b'"M": 13'),
          "line 6", "census counts total 13, not the 2 agents of the header's initial census"),
         (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("a1", "a2") + CENSUS,
@@ -563,6 +584,12 @@ class TestReport:
         # The default chart title holds the run_id.
         (HEADER.replace('"run_id": "r-s0"', '"run_id": "r\\u0001-s0"').encode(),
          "line 1", "run_id 'r\\x01-s0' holds a character XML cannot hold"),
+        (HEADER.encode() + b"\n" + ITERATION_1 + HEADER.encode() + b"\n",
+         "line 7", "header after the census line of iteration 1"),
+        (HEADER.encode() + b"\n" + SCOLD % b"a2", "line 2", "punishment after the header line"),
+        (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("a1", "a2") + imitate_line("a2", "a1")
+         + CENSUS.replace(b'"iteration": 1', b'"iteration": 2'),
+         "line 6", "census line of iteration 2 where iteration 1 is due"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
@@ -578,7 +605,8 @@ class TestReport:
             "meal-payoff-key-renamed", "meal-payoff-key-dropped", "meal-payoffs-not-in-seat-order",
             "run-id-not-string", "seed-out-of-range", "iterations-executed-negative", "status-running",
             "completed-but-homogeneous", "converged-but-mixed", "seed-differs-from-config",
-            "run-id-suffix-differs-from-seed", "run-id-not-xml"])
+            "run-id-suffix-differs-from-seed", "run-id-not-xml", "second-header",
+            "punishment-after-header", "census-iteration-not-due"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)

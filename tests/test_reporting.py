@@ -156,6 +156,21 @@ class TestEventLog:
         # imitation lines, gives another log that is valid.
         assert 0 < accepted < len(mutations)
 
+    def test_each_line_must_be_one_json_value(self, preset_run, tmp_path):
+        """A header split in two and the last two lines joined into one keep
+        the line count, and the lines joined as one JSON array decode to the
+        log's values; the loader still rejects the file at line 1."""
+        header, *body = event_log_lines(preset_run)
+        split = header.index("},{", header.index('"agents":[')) + 1
+        lines = [header[:split], header[split + 1:], *body[:-2], f"{body[-2]},{body[-1]}"]
+        assert len(lines) == len(body) + 1
+        assert json.loads("[" + ",".join(lines) + "]") == [json.loads(line) for line in [header, *body]]
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        with pytest.raises(EventLogError) as exc_info:
+            load_event_log(path)
+        assert exc_info.value.line == 1
+
     def test_templated_lines_equal_json_dumps(self, preset_run):
         params = PunishmentParams(p=3, k=1)
         ids = ("zoë", 'say "hi"', "back\\slash", "名前")
