@@ -164,6 +164,9 @@ class DecisionBackend(ABC):
             return exc
 
     def for_run(self, rng: Stream) -> "DecisionBackend":
-        """Bind a run-scoped RNG (retry jitter only). Default: stateless."""
+        """Bind a run-scoped RNG (retry jitter only). Default: stateless.
+
+        ``run_simulation`` calls it once per run, and never for a pure
+        backend, whose decisions have no randomness to bind."""
         del rng
         return self

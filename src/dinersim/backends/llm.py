@@ -34,10 +34,8 @@ from .base import (
     DecisionBackend,
     DecisionContext,
     DecisionKind,
-    ORDER_CHOICES,
     ParseError,
     PromptRenderError,
-    PUNISH_CHOICES,
     RosterEntry,
     SchemaError,
     TransportError,
@@ -205,9 +203,6 @@ def parse_reply(content: str, ctx: DecisionContext) -> Decision:
     if not isinstance(raw_choice, str):
         raise SchemaError("reply must carry a 'decision' string")
     choice = raw_choice.strip().lower()
-    allowed = ORDER_CHOICES if ctx.kind is DecisionKind.ORDER else PUNISH_CHOICES
-    if choice not in allowed:
-        raise SchemaError(f"decision {raw_choice!r} is outside the enum {list(allowed)}")
 
     severity = None
     if "severity" in data and data["severity"] is not None:

@@ -39,7 +39,7 @@ from .reporting import (
     write_census_csv,
     write_trend_svg,
 )
-from .runner import MAX_JOBS, RunResult, RunStatus, run_replications, run_simulation
+from .runner import MAX_JOBS, RunResult, RunStatus, Trajectory, run_replications, run_simulation
 
 log = logging.getLogger(__name__)
 
@@ -166,9 +166,9 @@ def make_backend(settings: BackendConfig, trace: bool):
     return LlmBackend(settings=settings, trace=trace)
 
 
-def write_census_files(run_dir: Path, run, title: str | None = None) -> None:
-    """A run's ``census.csv`` and ``trend.svg``, for every command; ``run`` is
-    a ``RunResult`` or a ``LoadedRun``."""
+def write_census_files(run_dir: Path, run: Trajectory, title: str | None = None) -> None:
+    """A run's ``census.csv`` and ``trend.svg``, for every command: from a
+    run's result or from its reloaded event log."""
     series = census_series(run.initial_census, run.records)
     write_census_csv(series, run_dir / "census.csv")
     write_trend_svg(series, title or f"Strategy shares (run {run.handle.run_id})", run_dir / "trend.svg")

@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -30,7 +29,7 @@ from .model import (
     STRATEGY_ORDER,
     seed_in_range,
 )
-from .runner import BatchRow, RunHandle, RunResult, RunStatus, SeedlessCache, Trajectory, homogeneous
+from .runner import BatchRow, RunHandle, RunResult, RunStatus, SeedlessCache, Trajectory, end_status
 
 SCHEMA_VERSION = 1
 
@@ -179,13 +178,6 @@ def write_event_log(result: RunResult, path: str | Path) -> Path:
     return write_text(path, "\n".join(event_log_lines(result)) + "\n")
 
 
-@dataclass
-class LoadedRun(Trajectory):
-    handle: RunHandle
-    initial_census: dict[Strategy, int]
-    records: list[IterationRecord]
-
-
 class EventLogError(InputError, ValueError):
     """An event log that cannot be read back, with the file and line at fault."""
 
@@ -222,7 +214,14 @@ def _header(item: dict) -> tuple[RunHandle, dict[Strategy, int]]:
     status, executed = _member(_STATUSES, RunStatus, item["status"]), item["iterations_executed"]
     if type(executed) is not int or executed < 0:
         raise ValueError(f"iterations_executed must be a non-negative integer, not {executed!r}")
-    return RunHandle(run_id, seed, status, executed), _census(item["initial_census"])
+    return RunHandle(run_id, seed, status, executed), _census(_labelled(item["initial_census"]))
+
+
+def _labelled(counts: dict) -> dict:
+    """``counts``, whose labels must be the writer's: M, P, E, R1 in that order."""
+    if list(counts) != _CENSUS_LABELS:
+        raise ValueError(f"census labels must be M, P, E, R1 in that order, not {list(counts)}")
+    return counts
 
 
 def _census(counts: dict) -> dict[Strategy, int]:
@@ -309,8 +308,8 @@ _FOLLOWS = {
 }
 
 
-def load_event_log(path: str | Path) -> LoadedRun:
-    """Rebuild IterationRecords from a log file, losslessly.
+def load_event_log(path: str | Path) -> Trajectory:
+    """Rebuild a run's Trajectory from its log file, losslessly.
 
     Each punishment line goes to the group its punisher ordered in, and the
     utilities line is split by each group's orders. Raises
@@ -361,11 +360,11 @@ def load_event_log(path: str | Path) -> LoadedRun:
             if kind == "imitation":
                 outcome = _imitation(item)
                 focal, role_model = outcome.focal_id, outcome.role_model_id
-                if focal not in group_of:
+                if type(focal) is not str or focal not in group_of:
                     raise ValueError(f"focal {focal!r} did not order in iteration {iteration}")
                 if focal in imitation:
                     raise ValueError(f"second imitation line for focal {focal!r} in iteration {iteration}")
-                if role_model == focal or role_model not in group_of:
+                if type(role_model) is not str or role_model == focal or role_model not in group_of:
                     raise ValueError(
                         f"role model {role_model!r} is not another agent that ordered in iteration {iteration}"
                     )
@@ -399,10 +398,11 @@ def load_event_log(path: str | Path) -> LoadedRun:
                     _typed(item, "cost_to_punisher"),
                     _typed(item, "cost_to_target"),
                 )
-                group = group_of.get(event.punisher_id)
-                if group is None or group_of.get(event.target_id) != group:
+                punisher, target = event.punisher_id, event.target_id
+                group = group_of.get(punisher) if type(punisher) is str else None
+                if group is None or type(target) is not str or group_of.get(target) != group:
                     raise ValueError(
-                        f"punisher {event.punisher_id!r} and target {event.target_id!r} "
+                        f"punisher {punisher!r} and target {target!r} "
                         f"did not order in one group of iteration {iteration}"
                     )
                 if group < punished:
@@ -419,9 +419,7 @@ def load_event_log(path: str | Path) -> LoadedRun:
                 if list(utilities) != list(group_of):
                     raise ValueError(f"utilities keys are not in the seat order of iteration {iteration}")
             else:
-                counts = item["counts"]
-                if list(counts) != _CENSUS_LABELS:
-                    raise ValueError(f"census labels must be M, P, E, R1 in that order, not {list(counts)}")
+                counts = _labelled(item["counts"])
                 if len(imitation) != len(group_of):
                     missing = next(a for a in group_of if a not in imitation)
                     raise ValueError(f"no imitation line for agent {missing!r} in iteration {iteration}")
@@ -449,8 +447,8 @@ def load_event_log(path: str | Path) -> LoadedRun:
         executed = handle.iterations_executed
         if len(records) != executed:
             raise ValueError(f"iterations are not 1..iterations_executed ({executed} in the header)")
-        loaded = LoadedRun(handle, initial_census, records)
-        ended = RunStatus.CONVERGED if homogeneous(loaded.final_census) else RunStatus.COMPLETED
+        loaded = Trajectory(handle, initial_census, records)
+        ended = end_status(loaded.final_census)
         if handle.status not in (RunStatus.ABORTED, ended):
             raise ValueError(f"status is {handle.status.value}, but the last census says {ended.value}")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:

@@ -57,8 +57,18 @@ class RunHandle:
     iterations_executed: int
 
 
+def end_status(final_census: dict[Strategy, int]) -> RunStatus:
+    """How a run that was not aborted ended, by its final census."""
+    return RunStatus.CONVERGED if homogeneous(final_census) else RunStatus.COMPLETED
+
+
+@dataclass
 class Trajectory:
-    """A run's outcome, worked out from its ``initial_census`` and ``records``."""
+    """A run, as run or as read back from its log: its census before iteration 1, one record per iteration."""
+
+    handle: RunHandle
+    initial_census: dict[Strategy, int]
+    records: list[IterationRecord]
 
     @property
     def final_census(self) -> dict[Strategy, int]:
@@ -73,14 +83,10 @@ class Trajectory:
 
 @dataclass
 class RunResult(Trajectory):
-    handle: RunHandle
-    config: SimulationConfig
-    records: list[IterationRecord]
-    error: str | None = None
+    """A run's trajectory, with the config it ran and an aborted run's backend error."""
 
-    @property
-    def initial_census(self) -> dict[Strategy, int]:
-        return census_of(seed.strategy for seed in self.config.agents)
+    config: SimulationConfig
+    error: str | None = None
 
 
 # Every config field but the seed. The runs of one batch share these values
@@ -121,12 +127,6 @@ def run_id_for(config: SimulationConfig) -> str:
     return f"{_digest(config)[:10]}-s{config.seed}"
 
 
-def derive_streams(seed: int) -> tuple[Stream, Stream]:
-    """(imitation_rng, backend_jitter_rng) split from one root seed: spawn
-    keys 0 and 1, numpy's ``SeedSequence(seed).spawn(2)`` streams."""
-    return Stream(seed, 0), Stream(seed, 1)
-
-
 def assign_locations(
     n_groups: int, locations: Sequence[str], iteration: int
 ) -> list[str]:
@@ -153,14 +153,17 @@ def run_simulation(
     run regardless. Backend failures abort the run but keep partial records.
     """
     validate_config(config)
-    imitation_rng, jitter_rng = derive_streams(config.seed)
-    run_backend = backend.for_run(jitter_rng)
+    # Spawn keys 0 and 1: numpy's SeedSequence(seed).spawn(2) streams. A pure
+    # backend has nothing to bind, so it gets no jitter stream.
+    imitation_rng = Stream(config.seed, 0)
+    run_backend = backend if backend.pure else backend.for_run(Stream(config.seed, 1))
 
     states = [AgentState.from_seed(seed) for seed in config.agents]
     by_id = {s.agent_id: s for s in states}
     groups = [(g.group_id, [by_id[m] for m in g.members]) for g in config.groups]
 
     run_id = run_id_for(config)
+    census = initial_census = census_of(seed.strategy for seed in config.agents)
     records: list[IterationRecord] = []
     status = error = None
 
@@ -199,10 +202,9 @@ def run_simulation(
             break
 
     if status is None:
-        converged = homogeneous(census_of(s.strategy for s in states))
-        status = RunStatus.CONVERGED if converged else RunStatus.COMPLETED
+        status = end_status(census)  # the last record's census, or the initial one
     handle = RunHandle(run_id, config.seed, status, len(records))
-    return RunResult(handle, config, records, error)
+    return RunResult(handle, initial_census, records, config, error)
 
 
 @dataclass

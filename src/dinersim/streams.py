@@ -50,26 +50,13 @@ class Stream:
     """numpy's ``default_rng`` of ``SeedSequence(seed).spawn(...)[spawn_key]``,
     for ``0 <= seed < 2**64`` and ``0 <= spawn_key < 2**32``."""
 
-    __slots__ = ("_seed", "_spawn_key", "_state", "_inc", "_spare")
+    __slots__ = ("_state", "_inc", "_spare")
 
     def __init__(self, seed: int, spawn_key: int) -> None:
-        if not (0 <= seed <= _MASK64 and 0 <= spawn_key <= _MASK32):
-            raise ValueError(f"seed {seed} or spawn key {spawn_key} is out of range")
-        self._seed, self._spawn_key = seed, spawn_key
-
-    def __getattr__(self, name: str):
-        # Called only while a slot is empty: the state slots are filled at the
-        # first draw, so a stream never drawn from, such as a rule-oracle
-        # run's jitter stream, costs no seeding.
-        if name not in ("_state", "_inc", "_spare"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._seed_state()
-        return getattr(self, name)
-
-    def _seed_state(self) -> None:
         """numpy's SeedSequence mixing of the seed and spawn key, then PCG64's
         seeding from the 128-bit state and increment words it generates."""
-        seed, spawn_key = self._seed, self._spawn_key
+        if not (0 <= seed <= _MASK64 and 0 <= spawn_key <= _MASK32):
+            raise ValueError(f"seed {seed} or spawn key {spawn_key} is out of range")
         pool = [_hash(word, constants) for word, constants in zip((seed & _MASK32, seed >> 32, 0, 0), _MIX_HASHES)]
         pool.append(spawn_key)
         for (src, dst), (xor, mult) in zip(_MIX_ORDER, _MIX_HASHES[4:]):

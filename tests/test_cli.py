@@ -379,7 +379,7 @@ def orders_line(group: str, *agents: str) -> bytes:
     }).encode() + b"\n"
 
 
-def imitate_line(focal: str, role_model: str) -> bytes:
+def imitate_line(focal: str, role_model) -> bytes:
     return json.dumps({
         "kind": "imitation", "iteration": 1, "focal": focal, "role_model": role_model,
         "payoff_diff": 0.0, "probability": 0.5, "uniform_draw": 0.5, "adopted": False,
@@ -448,7 +448,8 @@ class TestReport:
 
     # The header of a run of two moralists that ran one iteration.
     HEADER = json.dumps({"kind": "header", "schema": 1, "run_id": "r-s0", "seed": 0, "status": "converged",
-                         "iterations_executed": 1, "initial_census": {"M": 2}, "config": {"seed": 0}})
+                         "iterations_executed": 1, "initial_census": {"M": 2, "P": 0, "E": 0, "R1": 0},
+                         "config": {"seed": 0}})
     SCOLD = (b'{"kind": "punishment", "iteration": 1, "punisher": "a1", "target": "%s", '
              b'"level": "defection", "cost_to_punisher": 1.0, "cost_to_target": 6.0}\n')
 
@@ -590,6 +591,14 @@ class TestReport:
         (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("a1", "a2") + imitate_line("a2", "a1")
          + CENSUS.replace(b'"iteration": 1', b'"iteration": 2'),
          "line 6", "census line of iteration 2 where iteration 1 is due"),
+        (HEADER.replace('"M": 2, "P": 0, "E": 0, "R1": 0', '"M": 2').encode(),
+         "line 1", "census labels must be M, P, E, R1 in that order, not ['M']"),
+        (HEADER.replace('"M": 2, "P": 0, "E": 0, "R1": 0', '"R1": 0, "M": 2, "P": 0, "E": 0').encode(),
+         "line 1", "census labels must be M, P, E, R1 in that order, not ['R1', 'M', 'P', 'E']"),
+        (HEADER.encode() + b"\n" + orders_line("g1", "a1", "a2") + (SCOLD % b"a2").replace(b'"a1"', b'["a1"]'),
+         "line 3", "punisher ['a1'] and target 'a2' did not order in one group of iteration 1"),
+        (HEADER.encode() + b"\n" + ORDERS_2 + imitate_line("a1", {"x": "a2"}),
+         "line 4", "role model {'x': 'a2'} is not another agent that ordered in iteration 1"),
     ], ids=["empty", "not-json", "wrong-schema", "missing-key", "unknown-kind", "not-utf8",
             "bad-census", "truncated", "punisher-ordered-nowhere", "punisher-and-target-apart",
             "orders-in-two-groups", "utilities-keys-differ", "orders-after-utilities",
@@ -606,7 +615,8 @@ class TestReport:
             "run-id-not-string", "seed-out-of-range", "iterations-executed-negative", "status-running",
             "completed-but-homogeneous", "converged-but-mixed", "seed-differs-from-config",
             "run-id-suffix-differs-from-seed", "run-id-not-xml", "second-header",
-            "punishment-after-header", "census-iteration-not-due"])
+            "punishment-after-header", "census-iteration-not-due", "header-census-partial",
+            "header-census-reordered", "punisher-not-string", "role-model-not-string"])
     def test_malformed_log_is_one_line_and_exit_two(self, tmp_path, capsys, content, where, problem):
         log = tmp_path / "events.jsonl"
         log.write_bytes(content)

@@ -32,11 +32,11 @@ from dinersim.runner import (
     RunResult,
     RunStatus,
     assign_locations,
-    derive_streams,
     run_id_for,
     run_replications,
     run_simulation,
 )
+from dinersim.streams import Stream
 
 from conftest import ImpureOracle, fresh_group_table, make_config
 
@@ -163,12 +163,38 @@ class TestRunSimulation:
         assert run_id_for(floats) == "3327f64bcf-s1"
 
     def test_streams_are_independent(self):
-        imitation_a, jitter_a = derive_streams(123)
-        imitation_b, _ = derive_streams(123)
+        imitation_a, jitter_a = Stream(123, 0), Stream(123, 1)
+        imitation_b = Stream(123, 0)
         # jitter consumption must not perturb the imitation stream
         for _ in range(1000):
             jitter_a.random()
         assert [imitation_a.random() for _ in range(8)] == [imitation_b.random() for _ in range(8)]
+
+    def test_pure_backend_is_not_bound(self, oracle):
+        class UnboundOracle(RuleOracle):
+            def for_run(self, rng):
+                raise AssertionError("for_run called for a pure backend")
+
+        config = oracle_preset(seed=5)
+        result = run_simulation(config, UnboundOracle())
+        assert result.handle.status is not RunStatus.ABORTED and len(result.records) == config.iterations
+        assert log_text(result) == log_text(run_simulation(config, oracle))
+
+    def test_impure_backend_is_bound_to_the_jitter_stream_once_per_run(self):
+        class BoundOracle(ImpureOracle):
+            def __init__(self):
+                self.streams = []
+
+            def for_run(self, rng):
+                self.streams.append(rng)
+                return self
+
+        for seed in (0, 7, 2**64 - 1):
+            backend = BoundOracle()
+            run_simulation(oracle_preset(seed=seed), backend)
+            (rng,) = backend.streams
+            expected = Stream(seed, 1)
+            assert [rng.random() for _ in range(8)] == [expected.random() for _ in range(8)]
 
     def test_cumulative_payoff_diff_matches_logged_utilities(self, oracle):
         """Under ``cumulative`` utilities each imitation compares the two
