@@ -288,14 +288,16 @@ class LlmBackend(DecisionBackend):
         self._url = f"{endpoint}/chat/completions"
         # Transport handlers only: no redirect or error handler, so every
         # reply comes back as it is and a 3xx is a failed request, never a
-        # second request carrying the API key. One SSL context (one load of
-        # the CA store) and one opener serve every clone and thread.
+        # second request carrying the API key. The endpoint, or the proxy
+        # for its scheme, is thus the only URL the opener opens, and the SSL
+        # context (a load of the CA store) is built only when one of them is
+        # https. The opener serves every clone and thread.
+        proxies = request.getproxies()
+        handlers = [request.ProxyHandler(proxies), request.HTTPHandler()]
+        if parts.scheme == "https" or proxies.get(parts.scheme, "").lower().startswith("https://"):
+            handlers.append(request.HTTPSHandler(context=ssl.create_default_context()))
         self._opener = request.OpenerDirector()
-        for handler in (
-            request.ProxyHandler(),
-            request.HTTPHandler(),
-            request.HTTPSHandler(context=ssl.create_default_context()),
-        ):
+        for handler in handlers:
             self._opener.add_handler(handler)
 
     def for_run(self, rng: Stream) -> "LlmBackend":

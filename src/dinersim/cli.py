@@ -171,7 +171,9 @@ def write_census_files(run_dir: Path, run: Trajectory, title: str | None = None)
     run's result or from its reloaded event log."""
     series = census_series(run.initial_census, run.records)
     write_census_csv(series, run_dir / "census.csv")
-    write_trend_svg(series, title or f"Strategy shares (run {run.handle.run_id})", run_dir / "trend.svg")
+    if title is None:
+        title = f"Strategy shares (run {run.handle.run_id})"
+    write_trend_svg(series, title, run_dir / "trend.svg")
 
 
 def write_run_outputs(result: RunResult, run_dir: Path) -> Path:

@@ -407,6 +407,16 @@ class TestReport:
         assert ">X</text>" in (tmp_path / "titled" / "trend.svg").read_text()
         assert (tmp_path / "default" / "trend.svg").read_text() == (out / "trend.svg").read_text()
 
+    def test_empty_title_draws_no_title(self, oracle_config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(oracle_config_path),
+                     "--backend", "oracle", "--out", str(out)]) == 0
+        assert main(["report", "--log", str(out / "events.jsonl"), "--out", str(tmp_path / "untitled"),
+                     "--title", ""]) == 0
+        svg = (tmp_path / "untitled" / "trend.svg").read_text()
+        assert 'font-family="sans-serif"></text>' in svg
+        assert "Strategy shares" not in svg
+
     def test_title_that_cannot_be_utf8_exits_two_and_writes_nothing(self, oracle_config_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(oracle_config_path),
@@ -825,7 +835,16 @@ assert cli.main(["eval-backend", "--backend", "oracle", "--out", str(out / "accu
 loaded = sorted(name for name in ("urllib.request", "http.client", "numpy") if name in sys.modules)
 assert not loaded, f"oracle commands loaded {loaded}"
 
+import os
+import ssl
+
+for name in [name for name in os.environ if name.lower().endswith("_proxy")]:
+    del os.environ[name]
+contexts = []
+create = ssl.create_default_context
+ssl.create_default_context = lambda *args, **kwargs: contexts.append(args) or create(*args, **kwargs)
 dinersim.LlmBackend(base_url="http://127.0.0.1:9", model="m")
+assert not contexts, "building an http LlmBackend built an SSL context"
 assert "urllib.request" in sys.modules, "building an LlmBackend did not load urllib.request"
 assert "requests" not in sys.modules, "building an LlmBackend loaded requests"
 assert "numpy" not in sys.modules, "building an LlmBackend loaded numpy"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
+import ssl
 import sys
 import threading
 import time
@@ -402,16 +403,36 @@ def no_proxy_env(monkeypatch):
     return monkeypatch
 
 
+@pytest.fixture()
+def ssl_contexts(monkeypatch):
+    """Every SSL context ``ssl.create_default_context`` builds during the test."""
+    built = []
+    create = ssl.create_default_context
+
+    def counting_create(*args, **kwargs):
+        built.append(create(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ssl, "create_default_context", counting_create)
+    return built
+
+
+@pytest.fixture()
+def attempts(monkeypatch):
+    """The URL of every ``llm.http_post`` call during the test."""
+    urls = []
+    post = llm.http_post
+
+    def counting_post(*args):
+        urls.append(args[1])
+        return post(*args)
+
+    monkeypatch.setattr(llm, "http_post", counting_post)
+    return urls
+
+
 class TestTransport:
-    def test_nothing_listening_fails_after_every_attempt(self, order_ctx, monkeypatch):
-        attempts = []
-
-        def counting_post(*args):
-            attempts.append(args[1])
-            return post(*args)
-
-        post = llm.http_post
-        monkeypatch.setattr(llm, "http_post", counting_post)
+    def test_nothing_listening_fails_after_every_attempt(self, order_ctx, attempts):
         backend = LlmBackend(settings=fast_settings(transport_retries=2),
                              base_url=f"http://127.0.0.1:{closed_port()}/v1", model="m")
         with pytest.raises(TransportError, match="unreachable after 3 attempts"):
@@ -505,7 +526,7 @@ class TestTransport:
         }
         assert server.bodies == [json.dumps(body, allow_nan=False).encode("utf-8")]
 
-    def test_proxy_is_used_unless_no_proxy_covers_the_host(self, order_ctx, no_proxy_env):
+    def test_proxy_is_used_unless_no_proxy_covers_the_host(self, order_ctx, no_proxy_env, ssl_contexts):
         no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
         with FixtureServer(mode="oracle") as server:
             with pytest.raises(TransportError, match="unreachable after 2 attempts"):
@@ -514,6 +535,52 @@ class TestTransport:
             no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
             make_backend(server).decide(order_ctx)
             assert len(server.requests) == 1
+        assert ssl_contexts == []  # an http endpoint behind an http proxy needs no TLS
+
+    def test_http_endpoint_builds_no_ssl_context(self, suite, no_proxy_env, ssl_contexts):
+        contexts = [s.ctx for s in suite[:4]]
+        with FixtureServer(mode="oracle") as server:
+            backend = make_backend(server, max_concurrency=2).for_run(Stream(1, 1))
+            decisions = backend.decide_each(contexts)
+            assert len(server.requests) == len(contexts)
+        assert [d.choice for d in decisions] == [s.expected_choice for s in suite[:4]]
+        assert ssl_contexts == []
+
+    def test_https_endpoint_builds_one_verifying_ssl_context_when_built(self, order_ctx, no_proxy_env,
+                                                                       ssl_contexts):
+        backend = LlmBackend(settings=fast_settings(transport_retries=1),
+                             base_url=f"https://127.0.0.1:{closed_port()}/v1", model="m")
+        (context,) = ssl_contexts
+        assert context.verify_mode is ssl.CERT_REQUIRED and context.check_hostname
+        with pytest.raises(TransportError, match="unreachable after 2 attempts"):
+            backend.for_run(Stream(1, 1)).decide(order_ctx)
+        assert ssl_contexts == [context]
+
+    @pytest.mark.parametrize("scheme", ["https", "HTTPS"])
+    def test_http_endpoint_behind_an_https_proxy_builds_one_ssl_context(self, order_ctx, no_proxy_env,
+                                                                        ssl_contexts, scheme):
+        no_proxy_env.setenv("HTTP_PROXY", f"{scheme}://127.0.0.1:{closed_port()}")
+        backend = LlmBackend(settings=fast_settings(transport_retries=1), base_url="http://llm.example/v1", model="m")
+        assert len(ssl_contexts) == 1
+        with pytest.raises(TransportError, match="unreachable after 2 attempts") as err:
+            backend.decide(order_ctx)
+        assert "unknown url type" not in str(err.value)
+        assert len(ssl_contexts) == 1
+
+    @pytest.mark.parametrize("tls_to", ["endpoint", "proxy"])
+    def test_tls_to_a_plain_http_port_fails_every_attempt(self, order_ctx, no_proxy_env, attempts, tls_to):
+        with FixtureServer(mode="oracle") as server:
+            plain = server.base_url.removeprefix("http://")
+            if tls_to == "endpoint":
+                base_url = f"https://{plain}"
+            else:
+                base_url = "http://llm.example/v1"
+                no_proxy_env.setenv("HTTP_PROXY", f"https://{plain.removesuffix('/v1')}")
+            backend = LlmBackend(settings=fast_settings(transport_retries=2), base_url=base_url, model="m")
+            with pytest.raises(TransportError, match="unreachable after 3 attempts: .*WRONG_VERSION_NUMBER"):
+                backend.decide(order_ctx)
+            assert server.requests == [] and server.request_lines == []
+        assert len(attempts) == 3
 
     @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
     def test_redirect_is_not_followed(self, order_ctx, status):
