@@ -21,6 +21,7 @@ from .base import (
     DecisionKind,
     RosterEntry,
     TransportError,
+    choices_for,
 )
 from .oracle import oracle_decide
 
@@ -94,64 +95,55 @@ class AccuracyReport:
         }
 
 
-def _suite_context(
-    kind: DecisionKind,
-    strategy: Strategy,
-    r1_punished: bool,
-    lifestyle: str,
-    p: float,
-    k: float,
-) -> DecisionContext:
+def _suite_scene(kind: DecisionKind) -> tuple[tuple[RosterEntry, ...], dict]:
+    """The roster and the kind-specific fields every scenario of ``kind``
+    shares: the menu for an order, the target and whom it spared otherwise."""
     if kind is DecisionKind.ORDER:
-        roster = tuple(RosterEntry(name=n) for n in _SUITE_ROSTER_NAMES)
-        extras = {"menu": DEFAULT_MENU}
-    else:
-        defector, scolds, spared = _SUITE_SCENES[kind]
-        roster = tuple(
-            RosterEntry(
-                name=n,
-                order=MealChoice.PREMIUM if n == defector else MealChoice.BUDGET,
-                scolded=scolds.get(n, ()),
-            )
-            for n in _SUITE_ROSTER_NAMES
+        return tuple(RosterEntry(name=n) for n in _SUITE_ROSTER_NAMES), {"menu": DEFAULT_MENU}
+    defector, scolds, spared = _SUITE_SCENES[kind]
+    roster = tuple(
+        RosterEntry(
+            name=n,
+            order=MealChoice.PREMIUM if n == defector else MealChoice.BUDGET,
+            scolded=scolds.get(n, ()),
         )
-        extras = {"target_name": _TARGET_NAME, "spared": spared}
-    return DecisionContext(
-        kind=kind,
-        iteration=1,
-        location="pub",
-        actor_name="Alex Rivera",
-        actor_strategy=strategy,
-        actor_lifestyle=lifestyle,
-        actor_r1_punished=r1_punished,
-        roster=roster,
-        punishment_mode=PunishmentMode.EXPLICIT,
-        punishment_p=p,
-        punishment_k=k,
-        **extras,
+        for n in _SUITE_ROSTER_NAMES
     )
+    return roster, {"target_name": _TARGET_NAME, "spared": spared}
 
 
 def build_scenario_suite(p: float = 6.0, k: float = 1.0) -> list[Scenario]:
-    """All strategies x all decision kinds x flag states x lifestyle variants."""
+    """All strategies x all decision kinds x flag states x lifestyle variants.
+
+    A kind's scenarios share its scene, and the scenarios of one (kind,
+    strategy, flag) cell share the oracle's answer, which reads no lifestyle.
+    """
     scenarios = []
     for kind in DecisionKind:
+        roster, extras = _suite_scene(kind)
         for strategy in STRATEGY_ORDER:
             flag_states = (False, True) if strategy is Strategy.RELUCTANT_COOPERATOR else (False,)
             for r1_punished in flag_states:
+                cell = f"{kind.value}-{strategy.value}-{'punished' if r1_punished else 'fresh'}"
+                expected = None
                 for tag, lifestyle in SUITE_LIFESTYLES:
-                    ctx = _suite_context(kind, strategy, r1_punished, lifestyle, p, k)
-                    scenarios.append(
-                        Scenario(
-                            scenario_id=(
-                                f"{kind.value}-{strategy.value}-"
-                                f"{'punished' if r1_punished else 'fresh'}-{tag}"
-                            ),
-                            lifestyle_tag=tag,
-                            ctx=ctx,
-                            expected_choice=oracle_decide(ctx).choice,
-                        )
+                    ctx = DecisionContext(
+                        kind=kind,
+                        iteration=1,
+                        location="pub",
+                        actor_name="Alex Rivera",
+                        actor_strategy=strategy,
+                        actor_lifestyle=lifestyle,
+                        actor_r1_punished=r1_punished,
+                        roster=roster,
+                        punishment_mode=PunishmentMode.EXPLICIT,
+                        punishment_p=p,
+                        punishment_k=k,
+                        **extras,
                     )
+                    if expected is None:
+                        expected = oracle_decide(ctx).choice
+                    scenarios.append(Scenario(f"{cell}-{tag}", tag, expected, ctx))
     return scenarios
 
 
@@ -179,7 +171,9 @@ def evaluate_accuracy(backend: DecisionBackend, suite: Sequence[Scenario]) -> Ac
             (report.by_strategy, scenario.ctx.actor_strategy.value),
             (report.by_lifestyle, scenario.lifestyle_tag),
         ):
-            cell = table.setdefault(key, CellStats())
+            cell = table.get(key)
+            if cell is None:
+                cell = table[key] = CellStats()
             cell.total += 1
             cell.matched += int(matched)
         if not matched and got is not None:
@@ -194,8 +188,25 @@ def save_suite(suite: Sequence[Scenario], path: str | Path) -> None:
 
 
 def load_suite(path: str | Path) -> list[Scenario]:
-    """Read a saved suite; an empty one is an InputError, as it measures nothing."""
+    """Read a saved suite. An empty suite measures nothing, and a repeated
+    ``scenario_id`` or an ``expected_choice`` outside its kind's choices
+    cannot be scored; each is an InputError."""
     suite = list(load_data(tuple[Scenario, ...], path, "suite"))
     if not suite:
         raise InputError("suite file", path, None, "holds no scenarios")
+    first_of: dict[str, int] = {}
+    for i, scenario in enumerate(suite):
+        choices = choices_for(scenario.ctx.kind)
+        if scenario.expected_choice not in choices:
+            raise InputError(
+                "suite file", path, None,
+                f"suite[{i}] {scenario.scenario_id!r} expects {scenario.expected_choice!r},"
+                f" which is not one of {list(choices)}",
+            )
+        first = first_of.setdefault(scenario.scenario_id, i)
+        if first != i:
+            raise InputError(
+                "suite file", path, None,
+                f"suite[{i}] repeats the scenario_id {scenario.scenario_id!r} of suite[{first}]",
+            )
     return suite

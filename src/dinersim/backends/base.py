@@ -47,6 +47,11 @@ ORDER_CHOICES = ("budget", "premium")
 PUNISH_CHOICES = ("punish", "abstain")
 
 
+def choices_for(kind: DecisionKind) -> tuple[str, ...]:
+    """The enum a decision of ``kind`` answers from."""
+    return ORDER_CHOICES if kind is DecisionKind.ORDER else PUNISH_CHOICES
+
+
 @dataclass(frozen=True)
 class RosterEntry:
     """A fellow diner as visible to the deciding agent: name, the meal they
@@ -101,7 +106,7 @@ class Decision:
 
 def check_decision(decision: Decision, ctx: DecisionContext) -> Decision:
     """Enforce the decision schema for the context it answers."""
-    allowed = ORDER_CHOICES if ctx.kind is DecisionKind.ORDER else PUNISH_CHOICES
+    allowed = choices_for(ctx.kind)
     if decision.choice not in allowed:
         raise SchemaError(
             f"decision {decision.choice!r} is outside the {ctx.kind.value} enum {list(allowed)}"

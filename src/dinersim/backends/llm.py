@@ -289,12 +289,22 @@ class LlmBackend(DecisionBackend):
         # Transport handlers only: no redirect or error handler, so every
         # reply comes back as it is and a 3xx is a failed request, never a
         # second request carrying the API key. The endpoint, or the proxy
-        # for its scheme, is thus the only URL the opener opens, and the SSL
-        # context (a load of the CA store) is built only when one of them is
-        # https. The opener serves every clone and thread.
-        proxies = request.getproxies()
-        handlers = [request.ProxyHandler(proxies), request.HTTPHandler()]
-        if parts.scheme == "https" or proxies.get(parts.scheme, "").lower().startswith("https://"):
+        # for its scheme unless no_proxy bypasses the endpoint's host, is
+        # thus the only URL the opener opens, and the SSL context (a load of
+        # the CA store) is built only when one of them is https. urllib
+        # parses that proxy at every request, so one it cannot parse fails
+        # here, once. The opener serves every clone and thread.
+        proxy = request.getproxies().get(parts.scheme, "")
+        if proxy and request.proxy_bypass(request.Request(self._url).host):
+            proxy = ""
+        handlers = [request.HTTPHandler()]
+        if proxy:
+            try:
+                request._parse_proxy(proxy)  # what ProxyHandler runs per request
+            except ValueError as exc:
+                raise TransportError(f"the {parts.scheme} proxy cannot be used: {exc}") from None
+            handlers.append(request.ProxyHandler({parts.scheme: proxy}))
+        if parts.scheme == "https" or proxy.lower().startswith("https://"):
             handlers.append(request.HTTPSHandler(context=ssl.create_default_context()))
         self._opener = request.OpenerDirector()
         for handler in handlers:

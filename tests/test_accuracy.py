@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -13,7 +14,8 @@ from dinersim.backends.accuracy import (
 from dinersim.backends.base import DecisionKind
 from dinersim.backends.llm import LlmBackend
 from dinersim.backends.oracle import RuleOracle
-from dinersim.config_io import ConfigFormatError, to_data
+from dinersim.cli import main
+from dinersim.config_io import ConfigFormatError, InputError, to_data
 from dinersim.model import BackendConfig, Strategy
 
 from llm_fixture import FixtureServer
@@ -146,6 +148,54 @@ def test_suite_unknown_key_rejected(tmp_path, where, key):
     with pytest.raises(ConfigFormatError, match=key) as exc_info:
         load_suite(path)
     assert "suite[1]" in str(exc_info.value)
+
+
+def test_suite_expected_choice_outside_its_kind_rejected(tmp_path):
+    data = to_data(build_scenario_suite())
+    data[4]["expected_choice"] = "maybe"
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError) as exc_info:
+        load_suite(path)
+    assert exc_info.value.problem == (
+        "suite[4] 'order-P-fresh-newspaper_reader' expects 'maybe',"
+        " which is not one of ['budget', 'premium']"
+    )
+
+
+def test_suite_repeated_scenario_id_rejected(tmp_path):
+    data = to_data(build_scenario_suite())
+    data[7]["scenario_id"] = data[2]["scenario_id"]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError) as exc_info:
+        load_suite(path)
+    assert exc_info.value.problem == (
+        "suite[7] repeats the scenario_id 'order-M-fresh-photographer' of suite[2]"
+    )
+
+
+# sha256 of the saved default suite, of the suite at p = 3, k = 1, and of the
+# oracle's eval-backend report over the default suite, recorded while each
+# scenario still built its own roster and asked the oracle on its own.
+SUITE_DIGESTS = {
+    (6.0, 1.0): "d8305ecca9b2a186c7cc1a77b9b6750f18c0b8a266e4dfbc30f504f8d90cf2a1",
+    (3.0, 1.0): "50b52a1051235e8176b9960025aad8ebef62d86e1f751b471096bba123f2e0a6",
+}
+ORACLE_REPORT_DIGEST = "fff10634737861df7bf48aab1c314973778df622bfc248c721b6f0d6b6126703"
+
+
+@pytest.mark.parametrize("p, k", list(SUITE_DIGESTS), ids=["6:1", "3:1"])
+def test_saved_suite_matches_the_recorded_digest(tmp_path, p, k):
+    path = tmp_path / "suite.json"
+    save_suite(build_scenario_suite(p, k), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_DIGESTS[p, k]
+
+
+def test_oracle_report_matches_the_recorded_digest(tmp_path):
+    path = tmp_path / "accuracy.json"
+    assert main(["eval-backend", "--backend", "oracle", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ORACLE_REPORT_DIGEST
 
 
 def test_report_to_dict_is_json_ready():

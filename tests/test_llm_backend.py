@@ -28,6 +28,7 @@ from dinersim.backends.base import (
 from dinersim.backends import llm
 from dinersim.backends.llm import LlmBackend, load_templates, parse_reply, render_prompt
 from dinersim.backends.oracle import oracle_decide
+from dinersim.cli import main
 from dinersim.config_io import read_text
 from dinersim.model import BackendConfig, MealChoice, PunishmentMode, paper_preset
 from dinersim.runner import run_simulation
@@ -536,6 +537,24 @@ class TestTransport:
             make_backend(server).decide(order_ctx)
             assert len(server.requests) == 1
         assert ssl_contexts == []  # an http endpoint behind an http proxy needs no TLS
+
+    def test_proxy_urllib_cannot_parse_is_a_transport_error_when_built(self, tmp_path, no_proxy_env, capsys):
+        no_proxy_env.setenv("HTTP_PROXY", "https:/x")
+        no_proxy_env.setenv("LLM_BASE_URL", f"http://127.0.0.1:{closed_port()}/v1")
+        no_proxy_env.setenv("LLM_MODEL", "m")
+        code = main(["eval-backend", "--backend", "llm", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: the http proxy cannot be used: proxy URL with no authority: 'https:/x'\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_proxy_urllib_cannot_parse_is_unused_when_no_proxy_covers_the_host(self, order_ctx, no_proxy_env):
+        no_proxy_env.setenv("HTTP_PROXY", "https:/x")
+        no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        with FixtureServer(mode="oracle") as server:
+            decision = make_backend(server).decide(order_ctx)
+            assert len(server.requests) == 1
+        assert decision.rationale == "scripted oracle replay"
 
     def test_http_endpoint_builds_no_ssl_context(self, suite, no_proxy_env, ssl_contexts):
         contexts = [s.ctx for s in suite[:4]]
